@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   serve::ServeConfig sc;
   sc.num_workers = 4;
   sc.queue_capacity = serve_requests;
-  serve::InferenceService service(model, vocab, sc, nullptr);
+  serve::InferenceService service(model, vocab, sc);
   const Clock::time_point start = Clock::now();
   std::vector<std::future<serve::GroundResponse>> futures;
   futures.reserve(static_cast<size_t>(serve_requests));

@@ -138,7 +138,7 @@ ServePoint run_serve_burst(core::YolloModel& model, const data::Vocab& vocab,
   sc.queue_capacity = num_requests;  // admit the whole burst: same offered
   sc.batch_max = batch_max;          // load reaches the workers either way
   sc.feature_cache_mb = cache_mb;
-  serve::InferenceService service(model, vocab, sc, nullptr);
+  serve::InferenceService service(model, vocab, sc);
   wait_for_warm(service, sc.num_workers);
 
   const Clock::time_point start = Clock::now();

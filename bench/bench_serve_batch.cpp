@@ -100,7 +100,7 @@ BurstPoint run_burst(core::YolloModel& model, const data::Vocab& vocab,
   sc.queue_capacity = requests;  // admission never rejects for capacity
   sc.batch_max = batch_max;
   sc.feature_cache_mb = 0;  // part 1 isolates batching from caching
-  serve::InferenceService service(model, vocab, sc, nullptr);
+  serve::InferenceService service(model, vocab, sc);
   wait_for_warm(service, sc.num_workers);
 
   const Clock::time_point start = Clock::now();
@@ -157,7 +157,7 @@ GalleryPoint run_gallery(core::YolloModel& model, const data::Vocab& vocab,
   sc.queue_capacity = 8;
   sc.batch_max = 1;
   sc.feature_cache_mb = warm ? 32 : 0;
-  serve::InferenceService service(model, vocab, sc, nullptr);
+  serve::InferenceService service(model, vocab, sc);
   wait_for_warm(service, sc.num_workers);
 
   if (warm) {

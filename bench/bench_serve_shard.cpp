@@ -15,6 +15,10 @@
 //      router accounting invariant must hold exactly, and post-failure
 //      throughput must stay >= (N-1)/N of the healthy window.
 //
+// Every fleet runs the same workers per shard, sized so the 3-shard fleet
+// uses at most hardware_concurrency() workers (one per core, two when the
+// machine has six or more cores).
+//
 // Usage: bench_serve_shard [json-path]   (default: BENCH_serve_shard.json)
 // YOLLO_BENCH_SCALE=quick shrinks the sweep for smoke runs.
 #include <algorithm>
@@ -57,13 +61,33 @@ struct Workload {
   }
 };
 
+// Workers per shard: the largest count, up to 2, that keeps the 3-shard
+// fleet within the machine's cores.
+int64_t workers_per_shard() {
+  const int64_t cores =
+      std::max<int64_t>(1, std::thread::hardware_concurrency());
+  return std::clamp<int64_t>(cores / 3, 1, 2);
+}
+
 serve::RouterConfig fleet_config(int64_t num_shards) {
   serve::RouterConfig rc;
   rc.num_shards = num_shards;
-  rc.shard.num_workers = 2;
+  rc.shard.num_workers = workers_per_shard();
   rc.shard.queue_capacity = 64;
   rc.shard.max_retries = 1;
   return rc;
+}
+
+// Block until every shard's workers have compiled their plans: a fresh
+// fleet otherwise bills plan warm-up to its first requests, and three
+// shards warming at once miss the SLO deadline on a quiet fleet.
+void wait_for_warm(serve::Router& router) {
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    serve::InferenceService& shard = router.shard(s);
+    while (shard.counters().workers_warmed < shard.config().num_workers) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
 }
 
 struct LoadPoint {
@@ -71,11 +95,9 @@ struct LoadPoint {
   double achieved_rps = 0.0;  // answered per second of wall time
   int64_t submitted = 0;
   int64_t answered = 0;
-  int64_t degraded = 0;
   int64_t rejected = 0;
   int64_t deadline = 0;
   int64_t failed = 0;
-  int64_t hedges = 0;
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;
   // Time-to-verdict for deadline-missed requests: p95 latency of
   // kDeadlineExceeded responses. With cooperative cancellation a doomed
@@ -97,6 +119,7 @@ LoadPoint run_open_loop(serve::Router& router, const Workload& load,
                         void (*chaos)(serve::Router&) = nullptr,
                         std::vector<int64_t>* windows = nullptr,
                         std::vector<double>* window_answered = nullptr) {
+  wait_for_warm(router);
   Rng arrivals(seed);
   std::vector<std::future<serve::RouteResponse>> futures;
   futures.reserve(static_cast<size_t>(num_requests));
@@ -158,11 +181,9 @@ LoadPoint run_open_loop(serve::Router& router, const Workload& load,
   const serve::RouterCounters counters = router.counters();
   point.submitted = counters.submitted;
   point.answered = counters.served;
-  point.degraded = counters.degraded;
   point.rejected = counters.rejected;
   point.deadline = counters.deadline_exceeded;
   point.failed = counters.failed;
-  point.hedges = counters.hedges_launched;
   point.invariant_ok =
       lost == 0 &&
       counters.served + counters.rejected + counters.deadline_exceeded +
@@ -197,19 +218,17 @@ void json_point(FILE* json, const LoadPoint& p, const char* indent,
                 bool last) {
   std::fprintf(json,
                "%s{\"offered_rps\": %.0f, \"achieved_rps\": %.1f, "
-               "\"submitted\": %lld, \"answered\": %lld, \"degraded\": %lld, "
+               "\"submitted\": %lld, \"answered\": %lld, "
                "\"rejected\": %lld, \"deadline_exceeded\": %lld, "
-               "\"failed\": %lld, \"hedges\": %lld, "
+               "\"failed\": %lld, "
                "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f, "
                "\"slo_ok\": %s, \"invariant_ok\": %s}%s\n",
                indent, p.offered_rps, p.achieved_rps,
                static_cast<long long>(p.submitted),
                static_cast<long long>(p.answered),
-               static_cast<long long>(p.degraded),
                static_cast<long long>(p.rejected),
                static_cast<long long>(p.deadline),
-               static_cast<long long>(p.failed),
-               static_cast<long long>(p.hedges), p.p50, p.p95, p.p99,
+               static_cast<long long>(p.failed), p.p50, p.p95, p.p99,
                p.slo_ok ? "true" : "false",
                p.invariant_ok ? "true" : "false", last ? "" : ",");
 }
@@ -240,14 +259,13 @@ struct ChaosResult {
 };
 
 ChaosResult run_chaos(core::YolloModel& model, const data::Vocab& vocab,
-                      baseline::TwoStagePipeline* fallback,
                       const Workload& load, double offered_rps,
                       int64_t num_requests, int64_t deadline_ms,
                       void (*chaos)(serve::Router&), uint64_t seed,
                       bool cancellation = true) {
   serve::RouterConfig rc = fleet_config(3);
   rc.shard.enable_cancellation = cancellation;
-  serve::Router router(model, vocab, rc, fallback);
+  serve::Router router(model, vocab, rc);
   // Windows by submit index: [0, third) healthy, [third, 2*third) the fault
   // lands and the router reacts, [2*third, end) post-failure steady state.
   const int64_t third = num_requests / 3;
@@ -295,21 +313,6 @@ int main(int argc, char** argv) {
   core::YolloModel model(cfg, vocab.size(), rng);
   model.set_training(false);
 
-  baseline::ProposerConfig pcfg;
-  pcfg.img_h = dc.img_h;
-  pcfg.img_w = dc.img_w;
-  Rng prng(11);
-  baseline::RegionProposalNetwork rpn(pcfg, prng);
-  rpn.set_training(false);
-  baseline::MatcherConfig mcfg;
-  mcfg.vocab_size = vocab.size();
-  baseline::ListenerMatcher listener(mcfg, prng);
-  listener.set_training(false);
-  baseline::SpeakerMatcher speaker(mcfg, prng);
-  speaker.set_training(false);
-  baseline::TwoStagePipeline fallback(rpn, listener, speaker,
-                                      baseline::MatchMode::kListener);
-
   Workload load;
   load.dataset = &dataset;
   for (const data::GroundingSample& sample : dataset.train()) {
@@ -325,7 +328,8 @@ int main(int argc, char** argv) {
   // workers / p50.
   double p50_unloaded;
   {
-    serve::Router probe(model, vocab, fleet_config(1), &fallback);
+    serve::Router probe(model, vocab, fleet_config(1));
+    wait_for_warm(probe);
     std::vector<double> lat;
     for (int i = 0; i < 30; ++i) {
       const serve::RouteResponse r =
@@ -346,7 +350,8 @@ int main(int argc, char** argv) {
   // backlog (queue 64 absorbs it; submission paced just enough not to trip
   // admission rejections).
   const auto measure_capacity = [&](int64_t num_shards) {
-    serve::Router router(model, vocab, fleet_config(num_shards), &fallback);
+    serve::Router router(model, vocab, fleet_config(num_shards));
+    wait_for_warm(router);
     const int64_t n = scale.quick ? 80 : 160;
     std::vector<std::future<serve::RouteResponse>> futures;
     const Clock::time_point start = Clock::now();
@@ -368,7 +373,10 @@ int main(int argc, char** argv) {
   const double one_shard_cap = measure_capacity(1);
   const double three_shard_cap = measure_capacity(3);
 
+  const unsigned nproc = std::thread::hardware_concurrency();
   std::printf("== Sharded serving: open-loop sweep ==\n");
+  std::printf("nproc %u, %lld worker(s) per shard\n", nproc,
+              static_cast<long long>(workers_per_shard()));
   std::printf("unloaded p50 %.2f ms, SLO deadline %lld ms, measured capacity "
               "%.0f rps (1 shard) / %.0f rps (3 shards)\n\n",
               p50_unloaded, static_cast<long long>(slo_deadline_ms),
@@ -384,14 +392,14 @@ int main(int argc, char** argv) {
   for (const double f : fractions) {
     const double rate = f * one_shard_cap;
     {
-      serve::Router router(model, vocab, fleet_config(1), &fallback);
+      serve::Router router(model, vocab, fleet_config(1));
       one_shard.push_back(run_open_loop(router, load, rate, sweep_requests,
                                         slo_deadline_ms, 42));
       router.stop();
       print_point("1-shard", one_shard.back());
     }
     {
-      serve::Router router(model, vocab, fleet_config(3), &fallback);
+      serve::Router router(model, vocab, fleet_config(3));
       three_shard.push_back(run_open_loop(router, load, rate, sweep_requests,
                                           slo_deadline_ms, 43));
       router.stop();
@@ -438,7 +446,7 @@ int main(int argc, char** argv) {
   std::vector<ChaosResult> chaos_results;
   for (const Leg& leg : legs) {
     ChaosResult result =
-        run_chaos(model, vocab, &fallback, load, chaos_rate, chaos_requests,
+        run_chaos(model, vocab, load, chaos_rate, chaos_requests,
                   chaos_deadline_ms, leg.fault, 1234);
     std::printf("%8s healthy %7.1f rps -> post-failure %7.1f rps "
                 "(ratio %.2f, need >= 0.60)  lost=%s invariant=%s\n",
@@ -457,10 +465,10 @@ int main(int argc, char** argv) {
   // only variable is enable_cancellation.
   std::printf("\n== Chaos A/B: slow shard, cancellation off vs on ==\n");
   const ChaosResult slow_off =
-      run_chaos(model, vocab, &fallback, load, chaos_rate, chaos_requests,
+      run_chaos(model, vocab, load, chaos_rate, chaos_requests,
                 chaos_deadline_ms, chaos_slow, 1234, /*cancellation=*/false);
   const ChaosResult slow_on =
-      run_chaos(model, vocab, &fallback, load, chaos_rate, chaos_requests,
+      run_chaos(model, vocab, load, chaos_rate, chaos_requests,
                 chaos_deadline_ms, chaos_slow, 1234, /*cancellation=*/true);
   std::printf("     off healthy %7.1f rps -> post-failure %7.1f rps "
               "(ratio %.2f)  dl-verdict p95 %7.2f ms  invariant=%s\n",
@@ -498,11 +506,13 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"img_h\": %lld,\n  \"img_w\": %lld,\n"
-               "  \"workers_per_shard\": 2,\n  \"queue_capacity\": 64,\n"
+               "  \"nproc\": %u,\n  \"workers_per_shard\": %lld,\n"
+               "  \"queue_capacity\": 64,\n"
                "  \"unloaded_p50_ms\": %.3f,\n"
                "  \"slo_deadline_ms\": %lld,\n",
                static_cast<long long>(cfg.img_h),
-               static_cast<long long>(cfg.img_w), p50_unloaded,
+               static_cast<long long>(cfg.img_w), nproc,
+               static_cast<long long>(workers_per_shard()), p50_unloaded,
                static_cast<long long>(slo_deadline_ms));
   std::fprintf(json, "  \"sweep\": {\n    \"one_shard\": [\n");
   for (size_t i = 0; i < one_shard.size(); ++i) {
@@ -529,17 +539,16 @@ int main(int argc, char** argv) {
                  "\"post_failure_rps\": %.1f, \"ratio\": %.3f, "
                  "\"throughput_ok\": %s, \"zero_lost\": %s, "
                  "\"invariant_ok\": %s, \"submitted\": %lld, "
-                 "\"answered\": %lld, \"degraded\": %lld, "
-                 "\"deadline_exceeded\": %lld, \"hedges\": %lld}%s\n",
+                 "\"answered\": %lld, \"failed\": %lld, "
+                 "\"deadline_exceeded\": %lld}%s\n",
                  legs[i].name, chaos_rate, r.healthy_rps, r.post_failure_rps,
                  r.ratio, r.throughput_ok ? "true" : "false",
                  r.point.invariant_ok ? "true" : "false",
                  r.point.invariant_ok ? "true" : "false",
                  static_cast<long long>(r.point.submitted),
                  static_cast<long long>(r.point.answered),
-                 static_cast<long long>(r.point.degraded),
+                 static_cast<long long>(r.point.failed),
                  static_cast<long long>(r.point.deadline),
-                 static_cast<long long>(r.point.hedges),
                  i + 1 == chaos_results.size() ? "" : ",");
   }
   std::fprintf(json, "  },\n");

@@ -34,7 +34,6 @@ struct LoadPoint {
   int64_t offered_per_sec = 0;  // 0 = unpaced burst
   int64_t submitted = 0;
   int64_t answered = 0;
-  int64_t degraded = 0;
   int64_t rejected = 0;
   int64_t deadline = 0;
   int64_t failed = 0;
@@ -45,13 +44,12 @@ struct LoadPoint {
 
 LoadPoint run_load(core::YolloModel& model, const data::Vocab& vocab,
                    const std::vector<data::GroundingSample>& samples,
-                   baseline::TwoStagePipeline* fallback,
                    int64_t offered_per_sec, int64_t num_requests) {
   serve::ServeConfig sc;
   sc.num_workers = 4;
   sc.queue_capacity = 64;
   sc.max_retries = 1;
-  serve::InferenceService service(model, vocab, sc, fallback);
+  serve::InferenceService service(model, vocab, sc);
 
   const auto pace = offered_per_sec > 0
                         ? std::chrono::microseconds(1000000 / offered_per_sec)
@@ -87,7 +85,6 @@ LoadPoint run_load(core::YolloModel& model, const data::Vocab& vocab,
   const serve::ServiceCounters counters = service.counters();
   point.submitted = counters.submitted;
   point.answered = counters.served;
-  point.degraded = counters.degraded;
   point.rejected = counters.rejected;
   point.deadline = counters.deadline_exceeded;
   point.failed = counters.failed;
@@ -121,23 +118,6 @@ int main() {
   core::YolloModel model(cfg, vocab.size(), rng);
   model.set_training(false);
 
-  // Untrained baseline fallback tier (the degradation path's cost profile
-  // is what matters here, not its accuracy).
-  baseline::ProposerConfig pcfg;
-  pcfg.img_h = dc.img_h;
-  pcfg.img_w = dc.img_w;
-  Rng prng(11);
-  baseline::RegionProposalNetwork rpn(pcfg, prng);
-  rpn.set_training(false);
-  baseline::MatcherConfig mcfg;
-  mcfg.vocab_size = vocab.size();
-  baseline::ListenerMatcher listener(mcfg, prng);
-  listener.set_training(false);
-  baseline::SpeakerMatcher speaker(mcfg, prng);
-  speaker.set_training(false);
-  baseline::TwoStagePipeline fallback(rpn, listener, speaker,
-                                      baseline::MatchMode::kListener);
-
   std::printf(
       "== Serving throughput vs offered load "
       "(4 workers, queue 64, %lld requests/point) ==\n",
@@ -151,8 +131,8 @@ int main() {
                                    ? std::vector<int64_t>{100, 800, 0}
                                    : std::vector<int64_t>{50, 200, 800, 3200, 0};
   for (const int64_t rate : rates) {
-    const LoadPoint point = run_load(model, vocab, dataset.train(), &fallback,
-                                     rate, num_requests);
+    const LoadPoint point =
+        run_load(model, vocab, dataset.train(), rate, num_requests);
     const double rej_pct =
         100.0 * static_cast<double>(point.rejected) /
         static_cast<double>(std::max<int64_t>(1, point.submitted));

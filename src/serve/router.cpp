@@ -15,11 +15,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-double ms_until(std::chrono::steady_clock::time_point deadline,
-                std::chrono::steady_clock::time_point now) {
-  return std::chrono::duration<double, std::milli>(deadline - now).count();
-}
-
 uint64_t splitmix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -142,20 +137,15 @@ const char* shard_state_name(ShardState state) {
 }
 
 Router::Router(core::YolloModel& model, const data::Vocab& vocab,
-               const RouterConfig& config,
-               baseline::TwoStagePipeline* fallback)
+               const RouterConfig& config)
     : config_(config),
       vocab_(&vocab),
       ring_(std::max<int64_t>(1, config.vnodes)),
       c_submitted_(metrics_.counter("router.submitted")),
       c_served_(metrics_.counter("router.served")),
-      c_degraded_(metrics_.counter("router.degraded")),
       c_rejected_(metrics_.counter("router.rejected")),
       c_deadline_exceeded_(metrics_.counter("router.deadline_exceeded")),
       c_failed_(metrics_.counter("router.failed")),
-      c_hedges_launched_(metrics_.counter("router.hedges_launched")),
-      c_hedges_won_(metrics_.counter("router.hedges_won")),
-      c_hedge_cancelled_(metrics_.counter("router.hedge_cancelled")),
       c_failovers_(metrics_.counter("router.failovers")),
       c_probes_sent_(metrics_.counter("router.probes_sent")),
       c_probes_failed_(metrics_.counter("router.probes_failed")),
@@ -165,7 +155,6 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
           metrics_.histogram("router.latency_ms", obs::latency_ms_bounds())),
       g_inflight_(metrics_.gauge("router.inflight")) {
   config_.num_shards = std::max<int64_t>(1, config_.num_shards);
-  config_.hedge_budget = std::max(0.0, config_.hedge_budget);
   config_.health_interval_ms = std::max<int64_t>(1, config_.health_interval_ms);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
   for (int64_t i = 0; i < config_.num_shards; ++i) {
@@ -178,11 +167,7 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
       entry.injector = std::make_unique<runtime::FaultInjector>();
       sc.fault_injector = entry.injector.get();
     }
-    // All shards share one fallback pipeline; fallback_gate_ makes the
-    // serialisation span every sharer, not just one shard's workers.
-    entry.service = std::make_unique<InferenceService>(model, vocab, sc,
-                                                       fallback,
-                                                       &fallback_gate_);
+    entry.service = std::make_unique<InferenceService>(model, vocab, sc);
     shards_.push_back(std::move(entry));
     ring_.add_node(i);
   }
@@ -248,16 +233,7 @@ Router::Pick Router::pick_shard(uint64_t key_hash,
   return soft;
 }
 
-int64_t Router::pick_hedge(uint64_t key_hash, int64_t primary) {
-  for (const int64_t id : ring_.walk(key_hash)) {
-    if (id == primary) continue;
-    const ShardEntry& entry = shards_[static_cast<size_t>(id)];
-    if (entry.state == ShardState::kActive) return id;
-  }
-  return -1;
-}
-
-void Router::dispatch(const Job& job, Attempt& attempt) {
+void Router::dispatch(Job& job, Pick pick) {
   GroundRequest request;
   request.image = job.image;  // storage is shared, not copied
   request.query = job.query;
@@ -266,10 +242,12 @@ void Router::dispatch(const Job& job, Attempt& attempt) {
   } else {
     request.deadline_at = job.deadline;
   }
-  attempt.cancel = std::make_shared<CancelToken>();
-  request.cancel = attempt.cancel;
-  attempt.future = shards_[static_cast<size_t>(attempt.shard)].service->submit(
-      std::move(request));
+  job.attempt.shard = pick.shard;
+  job.attempt.probe = pick.probe;
+  job.attempt.future =
+      shards_[static_cast<size_t>(pick.shard)].service->submit(
+          std::move(request));
+  job.tried.push_back(pick.shard);
 }
 
 std::future<RouteResponse> Router::submit(RouteRequest request) {
@@ -285,7 +263,6 @@ std::future<RouteResponse> Router::submit(RouteRequest request) {
   job->deadline = resolve_deadline(request, config_.default_deadline_ms, now);
 
   Pick pick;
-  int64_t hedge = -1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     c_submitted_.inc();
@@ -319,41 +296,12 @@ std::future<RouteResponse> Router::submit(RouteRequest request) {
       return reject_now(Status::overloaded("no shard in rotation"));
     }
     if (pick.probe) c_probes_sent_.inc();
-
-    // Hedging: primary's live p95 says the deadline is at risk, the hedge
-    // budget has headroom, and an active sibling exists.
-    if (config_.hedging && !pick.probe &&
-        job->deadline != Clock::time_point::max()) {
-      const double remaining_ms = ms_until(job->deadline, now);
-      const ShardEntry& primary = shards_[static_cast<size_t>(pick.shard)];
-      const double budget =
-          config_.hedge_budget * static_cast<double>(c_submitted_.value());
-      if (primary.p95_ms > remaining_ms &&
-          static_cast<double>(c_hedges_launched_.value() + 1) <= budget) {
-        hedge = pick_hedge(key, pick.shard);
-        if (hedge >= 0) c_hedges_launched_.inc();
-      }
-    }
     ++submitting_;  // holds the completion thread open until the push below
   }
 
   // Shard admission (O(pixels) validation, shard lock) happens outside the
   // router mutex so concurrent submitters do not serialise on it.
-  Attempt primary;
-  primary.shard = pick.shard;
-  primary.probe = pick.probe;
-  dispatch(*job, primary);
-  job->tried.push_back(pick.shard);
-  job->attempts.push_back(std::move(primary));
-  if (hedge >= 0) {
-    Attempt duplicate;
-    duplicate.shard = hedge;
-    duplicate.hedge = true;
-    dispatch(*job, duplicate);
-    job->hedged = true;
-    job->tried.push_back(hedge);
-    job->attempts.push_back(std::move(duplicate));
-  }
+  dispatch(*job, pick);
 
   std::future<RouteResponse> future = job->promise.get_future();
   {
@@ -408,41 +356,21 @@ void Router::note_shard_result(int64_t shard, bool retryable_failure,
   }
 }
 
-void Router::finish_job(Job& job, GroundResponse response, int64_t shard,
-                        bool hedge_won) {
-  // The race is decided: cancel every attempt still in flight so its shard
-  // aborts the forward at the next checkpoint instead of finishing an
-  // answer nobody will read. The loser resolves kCancelled at shard level
-  // (that shard's `cancelled` bucket); it never reaches the router
-  // taxonomy — this job terminates exactly once, below.
-  int64_t losers = 0;
-  for (Attempt& attempt : job.attempts) {
-    if (attempt.done || attempt.cancel == nullptr) continue;
-    attempt.cancel->cancel();
-    ++losers;
-  }
+void Router::finish_job(Job& job, GroundResponse response, int64_t shard) {
   RouteResponse out;
   out.status = std::move(response.status);
   out.box = response.box;
   out.normalised_query = std::move(response.normalised_query);
   out.retries = response.retries;
   out.shard = shard;
-  out.hedged = job.hedged;
-  out.hedge_won = job.hedged && hedge_won;
   out.failovers = job.failovers;
   out.latency_ms = ms_since(job.submitted_at);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     h_latency_ms_.observe(out.latency_ms);
-    if (out.hedge_won) c_hedges_won_.inc();
-    if (losers > 0) c_hedge_cancelled_.inc(losers);
     switch (out.status.code) {
       case StatusCode::kOk:
         c_served_.inc();
-        break;
-      case StatusCode::kDegraded:
-        c_served_.inc();
-        c_degraded_.inc();
         break;
       case StatusCode::kInvalidInput:
       case StatusCode::kOverloaded:
@@ -469,71 +397,45 @@ void Router::finish_job(Job& job, GroundResponse response, int64_t shard,
 }
 
 bool Router::advance_job(Job& job, Clock::time_point now) {
-  // Scan ready attempts. First answered attempt wins; the loser (if any) is
-  // simply ignored — its shard still resolves it, nothing blocks on it.
-  bool pending = false;
-  for (Attempt& attempt : job.attempts) {
-    if (attempt.done) continue;
-    if (attempt.future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-      pending = true;
-      continue;
-    }
-    attempt.done = true;
-    GroundResponse response = attempt.future.get();
-    const StatusCode code = response.status.code;
-
-    if (response.status.answered()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // A probe only closes the half-open state on a full model answer
-        // (kOk); a degraded answer means the shard's own breaker is still
-        // open, so the probe failed even though the client is served.
-        note_shard_result(attempt.shard, false, attempt.probe,
-                          response.status.ok());
-      }
-      finish_job(job, std::move(response), attempt.shard, attempt.hedge);
-      return true;
-    }
-
-    if (code == StatusCode::kInvalidInput) {
-      // The request itself is malformed; no shard can do better. Terminal
-      // even if a hedge is still in flight (it will reject identically).
-      finish_job(job, std::move(response), attempt.shard, false);
-      return true;
-    }
-
-    {
-      // Only kInternalError feeds the shard's failure streak. kOverloaded is
-      // backpressure, not sickness — evicting a busy shard during a load
-      // spike shrinks capacity exactly when it is scarcest (the weighted
-      // queue-depth score already steers load away from deep queues).
-      std::lock_guard<std::mutex> lock(mutex_);
-      note_shard_result(attempt.shard, code == StatusCode::kInternalError,
-                        attempt.probe, false);
-    }
-    if (failure_precedence(code) >
-        failure_precedence(job.last_failure.status.code)) {
-      job.last_failure = std::move(response);
-    }
-    // A deadline miss from one attempt is not terminal while a hedge is
-    // still racing: the duplicate may have answered inside the budget.
+  Attempt& attempt = job.attempt;
+  if (attempt.future.wait_for(std::chrono::seconds(0)) !=
+      std::future_status::ready) {
+    return false;
   }
-  if (pending || job.done) return job.done;
+  GroundResponse response = attempt.future.get();
+  const StatusCode code = response.status.code;
 
-  // Every attempt failed. Fail over while the deadline and the ring allow;
+  if (code == StatusCode::kInvalidInput) {
+    // The request itself is malformed; no shard can do better.
+    finish_job(job, std::move(response), attempt.shard);
+    return true;
+  }
+  {
+    // A probe closes the half-open state only on a kOk answer. Only
+    // kInternalError feeds the shard's failure streak: kOverloaded is
+    // backpressure, not sickness — evicting a busy shard during a load
+    // spike shrinks capacity exactly when it is scarcest (the weighted
+    // queue-depth score already steers load away from deep queues).
+    std::lock_guard<std::mutex> lock(mutex_);
+    note_shard_result(attempt.shard, code == StatusCode::kInternalError,
+                      attempt.probe, response.status.ok());
+  }
+  if (response.status.ok()) {
+    finish_job(job, std::move(response), attempt.shard);
+    return true;
+  }
+  if (failure_precedence(code) >
+      failure_precedence(job.last_failure.status.code)) {
+    job.last_failure = std::move(response);
+  }
+
+  // Fail over while the deadline and the ring allow — each shard is tried
+  // at most once, so a request fails over at most num_shards - 1 times;
   // otherwise answer with the most truthful failure seen.
   Pick next;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const int64_t budget = config_.max_failovers >= 0
-                               ? config_.max_failovers
-                               : config_.num_shards - 1;
-    const bool deadline_ok = now < job.deadline;
-    const bool failure_retryable =
-        retryable(job.last_failure.status.code) ||
-        job.last_failure.status.code == StatusCode::kOk;  // (unset: paranoia)
-    if (deadline_ok && failure_retryable && job.failovers < budget) {
+    if (now < job.deadline && retryable(job.last_failure.status.code)) {
       next = pick_shard(job.key_hash, job.tried, now);
     }
     if (next.shard >= 0) {
@@ -548,21 +450,11 @@ bool Router::advance_job(Job& job, Clock::time_point now) {
       final.status =
           Status::deadline_exceeded("deadline expired during failover");
     }
-    if (final.status.code == StatusCode::kOk && final.box.w == 0) {
-      // No attempt ever resolved with a failure payload (cannot happen in
-      // practice); answer typed rather than fabricate success.
-      final.status = Status::overloaded("no shard could take the request");
-    }
-    finish_job(job, std::move(final), -1, false);
+    finish_job(job, std::move(final), -1);
     return true;
   }
-  Attempt attempt;
-  attempt.shard = next.shard;
-  attempt.probe = next.probe;
-  dispatch(job, attempt);
-  job.tried.push_back(next.shard);
+  dispatch(job, next);
   ++job.failovers;
-  job.attempts.push_back(std::move(attempt));
   return false;
 }
 
@@ -620,7 +512,6 @@ void Router::health_loop() {
       // Service reads happen without the router mutex (lock order is always
       // router -> shard, never the reverse).
       const HealthSnapshot shard_health = entry.service->health();
-      const double p95 = entry.service->latency_p95_ms();
       const double capacity = static_cast<double>(
           std::max<int64_t>(1, entry.service->config().queue_capacity));
       const double utilisation =
@@ -635,7 +526,6 @@ void Router::health_loop() {
       bool try_resume = false;
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        entry.p95_ms = p95;
         entry.queue_depth = shard_health.queue_depth;
         entry.accepting = shard_health.accepting;
         entry.breaker_open = shard_health.breaker_open;
@@ -744,7 +634,6 @@ RouterHealth Router::health() const {
     info.id = static_cast<int64_t>(i);
     info.state = entry.state;
     info.score = entry.score;
-    info.p95_ms = entry.p95_ms;
     info.queue_depth = entry.queue_depth;
     info.accepting = entry.accepting;
     info.breaker_open = entry.breaker_open;
@@ -760,13 +649,9 @@ RouterCounters router_counters_from_snapshot(
   RouterCounters c;
   c.submitted = snapshot.counter("router.submitted");
   c.served = snapshot.counter("router.served");
-  c.degraded = snapshot.counter("router.degraded");
   c.rejected = snapshot.counter("router.rejected");
   c.deadline_exceeded = snapshot.counter("router.deadline_exceeded");
   c.failed = snapshot.counter("router.failed");
-  c.hedges_launched = snapshot.counter("router.hedges_launched");
-  c.hedges_won = snapshot.counter("router.hedges_won");
-  c.hedge_cancelled = snapshot.counter("router.hedge_cancelled");
   c.failovers = snapshot.counter("router.failovers");
   c.probes_sent = snapshot.counter("router.probes_sent");
   c.probes_failed = snapshot.counter("router.probes_failed");

@@ -7,14 +7,14 @@
 // whole endpoint down. The Router scales out and — more importantly —
 // contains failures (DESIGN.md §12):
 //
-//   submit ── hash(image id) ──> primary shard ──────────┐
-//      │            │                                     ├─> first answer
-//      │            └─ deadline at risk (live p95)        │   wins; the
-//      │               └──> hedge to ring successor ──────┘   loser is
-//      │                    (≤ hedge_budget extra load)       ignored
-//      │
-//      └─ retryable shard answer (kOverloaded/kInternalError)
-//         └──> failover to the next untried shard on the ring
+//   submit ── hash(image id) ──> owner shard ──> answer
+//                                    │
+//                                    └─ retryable failure (kOverloaded /
+//                                       kInternalError / kResourceExhausted)
+//                                       └──> next untried shard on the ring
+//
+// A request has at most one attempt in flight at a time; it fails over only
+// after that attempt returns a retryable failure.
 //
 //   health thread: scores every shard from health() + queue-depth gauges;
 //   a shard whose breaker opens or whose health degrades is taken out of
@@ -26,9 +26,9 @@
 // cache); adding or removing a shard remaps only ~1/N of the key space.
 //
 // Accounting: the router owns its own obs::MetricsRegistry ("router.*").
-// Every submitted request terminates in exactly one router-level outcome —
-// hedges and failovers are deduplicated first-wins — so the service-level
-// invariant extends to the router:
+// Every submitted request terminates in exactly one router-level outcome
+// (the answer, or the most truthful failure across its attempts), so the
+// service-level invariant extends to the router:
 //
 //   served + rejected + deadline_exceeded + failed == submitted
 //
@@ -68,7 +68,7 @@ class HashRing {
   // the ring is empty.
   int64_t node_for(uint64_t key_hash) const;
   // Every distinct node in ring order starting at the owner — the failover
-  // / hedging preference order for this key.
+  // preference order for this key.
   std::vector<int64_t> walk(uint64_t key_hash) const;
 
   static uint64_t hash_key(const std::string& key);
@@ -91,19 +91,6 @@ struct RouterConfig {
   // Router-level default deadline for requests that do not carry their own
   // (same semantics as ServeConfig::default_deadline_ms).
   int64_t default_deadline_ms = 0;
-
-  // Hedged retries: when the primary's observed p95 (read live from its
-  // latency histogram by the health thread) exceeds the request's remaining
-  // budget, a duplicate is launched on the ring successor and the first
-  // answer wins. hedge_budget caps hedges to that fraction of submitted
-  // requests (≤10% extra load by default).
-  bool hedging = true;
-  double hedge_budget = 0.10;
-
-  // Failovers: a retryable shard answer (kOverloaded / kInternalError) is
-  // re-routed to the next untried shard on the ring while the deadline
-  // allows. -1 = up to every other shard once.
-  int64_t max_failovers = -1;
 
   // Health manager.
   int64_t health_interval_ms = 2;   // shard scoring/probing poll period
@@ -135,14 +122,15 @@ struct RouteRequest {
 
 struct RouteResponse {
   Status status;
-  vision::Box box;  // valid when status.answered()
+  vision::Box box;  // valid when status.ok()
   std::string normalised_query;
   double latency_ms = 0.0;  // router submit() to router completion
-  int64_t shard = -1;       // shard that produced the winning answer
-  bool hedged = false;      // a hedge was launched for this request
-  bool hedge_won = false;   // ...and the hedge beat the primary
-  int64_t failovers = 0;    // re-routes this request consumed
-  int64_t retries = 0;      // winning shard's model-tier retries
+  int64_t shard = -1;       // shard that produced the answer
+  // Re-routes this request consumed: a retryable shard answer (kOverloaded
+  // / kInternalError / kResourceExhausted) moves the request to the next
+  // untried shard on the ring while the deadline allows, each shard once.
+  int64_t failovers = 0;
+  int64_t retries = 0;      // answering shard's model-tier retries
 };
 
 // Flat view of the router registry ("router.*" names), derived from one
@@ -150,17 +138,13 @@ struct RouteResponse {
 //   served + rejected + deadline_exceeded + failed == submitted.
 struct RouterCounters {
   int64_t submitted = 0;
-  int64_t served = 0;    // kOk + kDegraded
-  int64_t degraded = 0;  // subset of served
-  int64_t rejected = 0;  // kInvalidInput + kOverloaded terminal answers
+  int64_t served = 0;    // kOk answers
+  int64_t rejected = 0;  // kInvalidInput + kOverloaded + kResourceExhausted
   int64_t deadline_exceeded = 0;
   int64_t failed = 0;
-  int64_t hedges_launched = 0;
-  int64_t hedges_won = 0;
-  // Losing attempts (hedge or stale racer) actively cancelled after another
-  // attempt won. Visibility only: a cancelled loser never reaches the
-  // router taxonomy (its job already terminated with the winner).
-  int64_t hedge_cancelled = 0;
+  int64_t hedges_launched = 0;  // always 0; last reader: bench_suite
+  int64_t hedges_won = 0;       // always 0; last reader: bench_suite
+  int64_t hedge_cancelled = 0;  // always 0; last reader: bench_suite
   int64_t failovers = 0;
   int64_t probes_sent = 0;
   int64_t probes_failed = 0;
@@ -175,7 +159,6 @@ struct ShardHealth {
   int64_t id = -1;
   ShardState state = ShardState::kActive;
   double score = 0.0;
-  double p95_ms = 0.0;  // shard-observed request latency p95
   int64_t queue_depth = 0;
   bool accepting = false;
   bool breaker_open = false;
@@ -191,19 +174,16 @@ struct RouterHealth {
 
 class Router {
  public:
-  // `model` is copied into every shard's replica set; `fallback` (optional)
-  // is shared by all shards — the router hands every shard one shared mutex
-  // so cross-shard degradations serialise correctly. `vocab` and `fallback`
-  // must outlive the router.
+  // `model` is copied into every shard's replica set. `vocab` must outlive
+  // the router.
   Router(core::YolloModel& model, const data::Vocab& vocab,
-         const RouterConfig& config,
-         baseline::TwoStagePipeline* fallback = nullptr);
+         const RouterConfig& config);
   ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Route, hedge, failover. The returned future always resolves with a
+  // Route, then fail over. The returned future always resolves with a
   // typed RouteResponse — never an exception, never a hang, including
   // during shutdown and shard failure.
   std::future<RouteResponse> submit(RouteRequest request);
@@ -242,16 +222,12 @@ class Router {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // The one attempt a job has in flight: its shard, whether it is a
+  // half-open probe, and the shard's future.
   struct Attempt {
     int64_t shard = -1;
-    bool hedge = false;
     bool probe = false;
     std::future<GroundResponse> future;
-    // Per-attempt cancellation handle: when another attempt wins the race,
-    // the losers are cancelled so their shards stop burning compute on an
-    // answer nobody will read (the shard accounts them kCancelled).
-    std::shared_ptr<CancelToken> cancel;
-    bool done = false;
   };
 
   struct Job {
@@ -261,9 +237,8 @@ class Router {
     Clock::time_point submitted_at;
     Clock::time_point deadline;  // Clock::time_point::max() == none
     std::vector<int64_t> tried;
-    std::vector<Attempt> attempts;
+    Attempt attempt;
     std::promise<RouteResponse> promise;
-    bool hedged = false;
     int64_t failovers = 0;
     GroundResponse last_failure;  // best terminal answer if all routes fail
     bool done = false;
@@ -274,7 +249,6 @@ class Router {
     std::unique_ptr<InferenceService> service;
     ShardState state = ShardState::kActive;
     double score = 1.0;
-    double p95_ms = 0.0;
     int64_t queue_depth = 0;
     bool accepting = true;
     bool breaker_open = false;
@@ -291,22 +265,19 @@ class Router {
   };
   Pick pick_shard(uint64_t key_hash, const std::vector<int64_t>& tried,
                   Clock::time_point now);
-  // Hedge target: first active untried shard after `primary` on the ring.
-  int64_t pick_hedge(uint64_t key_hash, int64_t primary);
 
-  // Builds the per-attempt GroundRequest (image storage is shared, not
-  // copied) with a fresh CancelToken and submits it to the shard, filling
-  // attempt.future/attempt.cancel — called WITHOUT mutex_ held (shard
-  // admission validates O(pixels) and takes the shard lock).
-  void dispatch(const Job& job, Attempt& attempt);
+  // Submits the job to `pick.shard` as its one attempt (image storage is
+  // shared, not copied) — called WITHOUT mutex_ held (shard admission
+  // validates O(pixels) and takes the shard lock).
+  void dispatch(Job& job, Pick pick);
 
   void completion_loop();
   void health_loop();
-  // One completion scan over `job`; returns true when the job finished.
+  // One completion poll of `job`'s attempt; returns true when the job
+  // finished.
   bool advance_job(Job& job, Clock::time_point now);
   // Terminal accounting + promise resolution. Takes mutex_.
-  void finish_job(Job& job, GroundResponse response, int64_t shard,
-                  bool hedge_won);
+  void finish_job(Job& job, GroundResponse response, int64_t shard);
   // Shard outcome feedback (mutex_ held): failure streaks trip the shard
   // out of rotation; probe results close or re-open the half-open state.
   void note_shard_result(int64_t shard, bool retryable_failure, bool probe,
@@ -318,7 +289,6 @@ class Router {
 
   RouterConfig config_;
   const data::Vocab* vocab_;
-  std::mutex fallback_gate_;  // shared across shards (see ctor comment)
   std::vector<ShardEntry> shards_;
 
   mutable std::mutex mutex_;  // ring, shard states, jobs, counters
@@ -340,13 +310,9 @@ class Router {
   obs::MetricsRegistry metrics_;
   obs::Counter& c_submitted_;
   obs::Counter& c_served_;
-  obs::Counter& c_degraded_;
   obs::Counter& c_rejected_;
   obs::Counter& c_deadline_exceeded_;
   obs::Counter& c_failed_;
-  obs::Counter& c_hedges_launched_;
-  obs::Counter& c_hedges_won_;
-  obs::Counter& c_hedge_cancelled_;
   obs::Counter& c_failovers_;
   obs::Counter& c_probes_sent_;
   obs::Counter& c_probes_failed_;

@@ -20,11 +20,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool box_is_finite(const vision::Box& box) {
-  return std::isfinite(box.x) && std::isfinite(box.y) &&
-         std::isfinite(box.w) && std::isfinite(box.h);
-}
-
 int64_t env_int(const char* name, int64_t fallback) {
   const char* value = std::getenv(name);
   if (!value || !*value) return fallback;
@@ -43,12 +38,6 @@ int64_t resolve_cache_bytes(const ServeConfig& config) {
 // slack covers the predicted batched cost with this much headroom, so a
 // prediction that runs 20% hot still meets the deadline.
 constexpr double kSlackMargin = 1.2;
-// Shrink when a batch of k costs more than k * solo * this ratio — at that
-// point batching is amortising nothing and only adds head-of-line latency.
-constexpr double kShrinkRatio = 1.25;
-// Clean forwards required after a target change before growth is considered
-// (hysteresis: don't oscillate on one good forward).
-constexpr int64_t kGrowPatience = 4;
 
 }  // namespace
 
@@ -82,16 +71,12 @@ void CancelToken::detach() {
 
 InferenceService::InferenceService(core::YolloModel& model,
                                    const data::Vocab& vocab,
-                                   const ServeConfig& config,
-                                   baseline::TwoStagePipeline* fallback,
-                                   std::mutex* fallback_mutex)
+                                   const ServeConfig& config)
     : config_(config),
       model_config_(model.config()),
       vocab_(&vocab),
-      fallback_(fallback),
       c_submitted_(metrics_.counter("serve.submitted")),
       c_served_(metrics_.counter("serve.served")),
-      c_degraded_(metrics_.counter("serve.degraded")),
       c_rejected_(metrics_.counter("serve.rejected")),
       c_rejected_invalid_(metrics_.counter("serve.rejected_invalid")),
       c_rejected_overloaded_(metrics_.counter("serve.rejected_overloaded")),
@@ -108,11 +93,8 @@ InferenceService::InferenceService(core::YolloModel& model,
       c_workers_spawned_(metrics_.counter("serve.workers_spawned")),
       c_pool_rejected_(metrics_.counter("serve.pool_rejected")),
       c_solo_dispatches_(metrics_.counter("serve.solo_dispatches")),
-      c_sched_shrinks_(metrics_.counter("serve.sched_shrinks")),
-      c_sched_grows_(metrics_.counter("serve.sched_grows")),
       g_queue_high_water_(metrics_.gauge("serve.queue_high_water")),
       g_max_batch_(metrics_.gauge("serve.max_batch")),
-      g_batch_target_(metrics_.gauge("serve.batch_target")),
       g_workers_warmed_(metrics_.gauge("serve.workers_warmed")),
       h_queue_depth_(metrics_.histogram(
           "serve.queue_depth",
@@ -125,9 +107,7 @@ InferenceService::InferenceService(core::YolloModel& model,
           metrics_.histogram("serve.latency_ms", obs::latency_ms_bounds())),
       h_cancel_latency_ms_(metrics_.histogram("serve.cancel_latency_ms",
                                               obs::latency_ms_bounds())),
-      cache_(metrics_, resolve_cache_bytes(config)),
-      fallback_lock_(fallback_mutex != nullptr ? fallback_mutex
-                                               : &fallback_mutex_) {
+      cache_(metrics_, resolve_cache_bytes(config)) {
   config_.num_workers = std::max<int64_t>(1, config_.num_workers);
   config_.queue_capacity = std::max<int64_t>(1, config_.queue_capacity);
   config_.batch_max = std::max<int64_t>(1, config_.batch_max);
@@ -140,17 +120,9 @@ InferenceService::InferenceService(core::YolloModel& model,
   // The watchdog judges progress by ExecContext heartbeats, which only
   // tick when cancellation arms the contexts.
   if (!config_.enable_cancellation) config_.watchdog_interval_ms = 0;
-  if (env_int("YOLLO_BATCH_ADAPTIVE", 1) == 0) {
-    config_.adaptive_batching = false;
-  }
   // Normalise for introspection: config().feature_cache_mb reflects what
   // the cache actually resolved to (env included).
   config_.feature_cache_mb = cache_.budget_bytes() / (1024 * 1024);
-  // The adaptive target starts at batch_max, not 1: a cold service under
-  // sudden backlog must coalesce immediately (the legacy behaviour); the
-  // target only steps down once live costs prove batching is hurting.
-  batch_target_ = config_.batch_max;
-  g_batch_target_.set(static_cast<double>(batch_target_));
   batch_cost_ewma_.assign(static_cast<size_t>(config_.batch_max) + 1, 0.0);
   formation_hists_.push_back(nullptr);  // slot 0 unused
   for (int64_t k = 1; k <= config_.batch_max; ++k) {
@@ -320,8 +292,13 @@ void InferenceService::worker_loop(Worker* self) {
   // refusal leaves that batch size on the dynamic path). warm_plan() runs
   // inside the exec scope so shutdown-time cancellation can abort it.
   if (config_.warm_plans) {
+    // stop() writes stopping_ under mutex_, possibly mid warm-up.
+    const auto stopping = [this] {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return stopping_;
+    };
     for (int64_t b = 1; b <= config_.batch_max; ++b) {
-      if (stopping_ || self->lost.load(std::memory_order_relaxed)) break;
+      if (stopping() || self->lost.load(std::memory_order_relaxed)) break;
       try {
         self->replica->warm_plan(b);
       } catch (...) {
@@ -359,15 +336,13 @@ void InferenceService::worker_loop(Worker* self) {
       // deadline slack still covers the predicted cost of the grown batch
       // (live per-size cost EWMAs) with margin — so a near-deadline
       // straggler runs solo instead of paying a stranger's batch tax, and
-      // a deadline-free backlog coalesces greedily up to the adaptive
-      // target. All admitted jobs share the model's image geometry
-      // (admission validates against the config), so every queued job is
+      // a deadline-free backlog coalesces greedily up to batch_max. All
+      // admitted jobs share the model's image geometry (admission
+      // validates against the config), so every queued job is
       // batch-compatible.
       const Clock::time_point now = Clock::now();
-      maybe_grow_target_locked();
-      const int64_t limit = std::min(
-          {config_.batch_max, batch_target_,
-           static_cast<int64_t>(queue_.size())});
+      const int64_t limit =
+          std::min(config_.batch_max, static_cast<int64_t>(queue_.size()));
       const auto slack_of = [&now](const Job& job) {
         if (job.deadline == Clock::time_point::max()) {
           return std::numeric_limits<double>::infinity();
@@ -454,8 +429,8 @@ void InferenceService::process_batch(Worker& self, std::vector<Job>& batch) {
   if (live.empty()) return;
 
   // Circuit breaker: the cooldown is counted per request (deterministic for
-  // tests), exactly as in the single-image path — requests that consume
-  // cooldown slots go straight to the baseline tier.
+  // tests) — requests that consume cooldown slots fail fast, typed and
+  // retryable, so a router fails them over to a healthy shard.
   std::vector<Job*> model_jobs;
   std::vector<Job*> breaker_jobs;
   {
@@ -472,7 +447,7 @@ void InferenceService::process_batch(Worker& self, std::vector<Job>& batch) {
   for (Job* job : breaker_jobs) {
     GroundResponse response;
     response.normalised_query = job->normalised_query;
-    run_fallback_tier(self, *job, "circuit breaker open", response);
+    response.status = Status::internal("circuit breaker open");
     finish(*job, std::move(response));
   }
 
@@ -487,20 +462,7 @@ void InferenceService::process_batch(Worker& self, std::vector<Job>& batch) {
 void InferenceService::run_single(Worker& self, Job& job, CacheProbe probe) {
   GroundResponse response;
   response.normalised_query = job.normalised_query;
-  if (run_model_tier(self, job, response, std::move(probe))) {
-    finish(job, std::move(response));
-    return;
-  }
-  const std::string degrade_reason =
-      "model tier failed: " + response.status.message;
-  // Deadline check between the model tier and the fallback tier.
-  if (Clock::now() >= job.deadline) {
-    response.status =
-        Status::deadline_exceeded("deadline expired after the model tier");
-    finish(job, std::move(response));
-    return;
-  }
-  run_fallback_tier(self, job, degrade_reason, response);
+  run_model_tier(self, job, response, std::move(probe));
   finish(job, std::move(response));
 }
 
@@ -620,8 +582,8 @@ void InferenceService::run_batch_group(Worker& self,
   if (outcome.element_errors.size() != static_cast<size_t>(k)) {
     // Batch-level failure (thrown fault, invalid input, cancellation,
     // pool-budget refusal): no per-element verdicts exist. Every request
-    // re-runs the single-image pipeline — per-request retries, deadline
-    // verdicts, and degradation, exactly as if it had never been coalesced.
+    // re-runs the single-image pipeline — per-request retries and typed
+    // verdicts, exactly as if it had never been coalesced.
     // The failed batch attempt itself does not feed the breaker; the
     // per-request salvage runs below do.
     for (int64_t i = 0; i < k; ++i) {
@@ -630,18 +592,8 @@ void InferenceService::run_batch_group(Worker& self,
     return;
   }
 
-  // The forward ran to completion: feed the scheduler's cost model. A
-  // rider answered past its deadline is the batch tax made visible — the
-  // shrink rule reacts to it.
-  const Clock::time_point after = Clock::now();
-  bool deadline_missed = false;
-  for (const Job* job : jobs) {
-    if (after >= job->deadline) {
-      deadline_missed = true;
-      break;
-    }
-  }
-  note_batch_outcome(k, forward_ms, deadline_missed);
+  // The forward ran to completion: feed the scheduler's cost model.
+  note_forward_cost(k, forward_ms);
 
   if (outcome.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -693,7 +645,7 @@ void InferenceService::run_batch_group(Worker& self,
   }
 }
 
-bool InferenceService::run_model_tier(Worker& self, Job& job,
+void InferenceService::run_model_tier(Worker& self, Job& job,
                                       GroundResponse& response,
                                       CacheProbe probe) {
   const Tensor batched =
@@ -707,7 +659,7 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
       response.status = Status::deadline_exceeded(
           "deadline expired before forward attempt " +
           std::to_string(attempt + 1));
-      return true;
+      return;
     }
     if (attempt > 0) ++response.retries;
     // Resolve the feature cache on the first attempt only: a cached-path
@@ -735,7 +687,7 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
           job.cancel->attach(&self.ctx, self.ctx.generation())) {
         job.cancel->detach();
         response.status = Status::cancelled("cancelled before the forward");
-        return true;
+        return;
       }
     }
     const Clock::time_point started = Clock::now();
@@ -761,13 +713,13 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
       // Terminal: whatever interrupted this forward (deadline, token,
       // watchdog kick) will interrupt a retry identically.
       response.status = map_cancelled(self);
-      return true;
+      return;
     }
     if (outcome.error == core::YolloModel::InferError::kResourceExhausted) {
       // The pool budget refused the forward. Trim the worker's pool (parked
       // blocks are the reclaimable share of the budget) and let the retry
-      // loop probe again; if every attempt is refused the request degrades
-      // to the baseline tier below, which allocates outside this pool.
+      // loop probe again; if every attempt is refused the request is shed
+      // as kResourceExhausted below.
       {
         std::lock_guard<std::mutex> lock(mutex_);
         c_pool_rejected_.inc();
@@ -782,11 +734,11 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
     }
     last_resource = false;
     // A forward that ran to completion (healthy or merely non-finite)
-    // feeds the scheduler's solo cost EWMA — the baseline every batched
+    // feeds the scheduler's solo cost EWMA — the reference every batched
     // prediction scales from.
     if (outcome.error == core::YolloModel::InferError::kNone ||
         outcome.error == core::YolloModel::InferError::kNonFinite) {
-      note_batch_outcome(1, forward_ms, Clock::now() >= job.deadline);
+      note_forward_cost(1, forward_ms);
     }
     // Populate the cache from a healthy full-path forward (the captured
     // features are upstream of the head, but only a clean pass earns an
@@ -803,7 +755,7 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
       if (Clock::now() >= job.deadline) {
         response.status = Status::deadline_exceeded(
             "forward pass finished past the deadline");
-        return true;
+        return;
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -811,7 +763,7 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
       }
       response.status = Status::ok_status();
       response.box = outcome.boxes.front();
-      return true;
+      return;
     }
     last_error = outcome.message;
     // Never ride the cached path into a retry.
@@ -824,12 +776,10 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
   // admitted.
   if (last_resource) {
     response.status = Status::resource_exhausted(last_error);
-    return false;
-  }
-  // Feed the circuit breaker. consecutive_failures_ is left accumulated
-  // when the breaker trips, so a failed probe after cooldown re-trips
-  // immediately.
-  {
+  } else {
+    // Feed the circuit breaker. consecutive_failures_ is left accumulated
+    // when the breaker trips, so a failed probe after cooldown re-trips
+    // immediately.
     std::lock_guard<std::mutex> lock(mutex_);
     ++consecutive_failures_;
     if (consecutive_failures_ >= config_.breaker_threshold &&
@@ -837,68 +787,13 @@ bool InferenceService::run_model_tier(Worker& self, Job& job,
       breaker_cooldown_left_ = config_.breaker_cooldown;
       c_breaker_trips_.inc();
     }
+    response.status = Status::internal("model tier failed: " + last_error);
   }
-  response.status = Status::internal(last_error);
-  return false;
-}
-
-void InferenceService::run_fallback_tier(Worker& self, Job& job,
-                                         const std::string& reason,
-                                         GroundResponse& response) {
-  OBS_SPAN("serve.fallback");
-  // Re-arm before the baseline tier: a context left cancelled by the model
-  // tier (deadline already answered there) must not poison the baseline
-  // ops, and the fallback still deserves in-flight deadline enforcement.
-  if (config_.enable_cancellation) self.ctx.arm(job.deadline);
-  if (fallback_ == nullptr) {
-    response.status = Status::internal(
-        reason + "; no baseline fallback tier is configured");
-    return;
-  }
-  try {
-    vision::Box box;
-    {
-      // The baseline tier is shared across workers (and, when the caller
-      // provided a shared mutex, across sibling shards); degradation is the
-      // rare path, so serialising it is the right trade.
-      std::lock_guard<std::mutex> lock(*fallback_lock_);
-      // The baseline tier is the escape hatch for memory pressure: it runs
-      // budget-exempt (its working set is a fraction of the model tier's),
-      // otherwise the same pool budget that refused the model forward also
-      // refuses the degraded answer and degradation collapses into an
-      // internal error.
-      PoolScope joined;  // passthrough into the worker's long-lived pool
-      const int64_t saved_budget = joined.budget_bytes();
-      joined.set_budget_bytes(0);
-      try {
-        box = fallback_->ground(job.image, job.tokens);
-      } catch (...) {
-        joined.set_budget_bytes(saved_budget);
-        throw;
-      }
-      joined.set_budget_bytes(saved_budget);
-    }
-    // A kernel that observed the cancel abandons its remaining work and
-    // returns partial (garbage) output — the box cannot be trusted even
-    // when it happens to look finite.
-    if (config_.enable_cancellation && self.ctx.cancelled()) {
-      response.status = map_cancelled(self);
-      return;
-    }
-    if (!box_is_finite(box)) {
-      response.status =
-          Status::internal(reason + "; baseline tier produced a non-finite box");
-      return;
-    }
-    response.box = vision::clip_box(box, static_cast<float>(job.image.size(2)),
-                                    static_cast<float>(job.image.size(1)));
-    response.status = Status::degraded("served by baseline tier (" + reason +
-                                       ")");
-  } catch (const ExecCancelled&) {
-    response.status = map_cancelled(self);
-  } catch (const std::exception& e) {
-    response.status = Status::internal(reason + "; baseline fallback threw: " +
-                                       e.what());
+  // A tier that failed past the deadline reports the deadline miss, the
+  // more truthful verdict.
+  if (Clock::now() >= job.deadline) {
+    response.status =
+        Status::deadline_exceeded("deadline expired after the model tier");
   }
 }
 
@@ -948,39 +843,11 @@ double InferenceService::predicted_cost_locked(int64_t k) const {
   return h_model_ms_.snapshot().quantile(0.95);
 }
 
-void InferenceService::note_batch_outcome(int64_t k, double forward_ms,
-                                          bool deadline_missed) {
+void InferenceService::note_forward_cost(int64_t k, double forward_ms) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (k <= 0 || k >= static_cast<int64_t>(batch_cost_ewma_.size())) return;
   double& ewma = batch_cost_ewma_[static_cast<size_t>(k)];
   ewma = ewma > 0.0 ? 0.7 * ewma + 0.3 * forward_ms : forward_ms;
-  ++forwards_since_change_;
-  if (!config_.adaptive_batching || k <= 1 || batch_target_ <= 1) return;
-  const double solo = batch_cost_ewma_[1];
-  const bool superlinear =
-      solo > 0.0 && ewma > solo * static_cast<double>(k) * kShrinkRatio;
-  if (deadline_missed || superlinear) {
-    // Step down from the size that hurt, not from wherever the target
-    // drifted: one bad batch of 3 under a target of 8 should land at 2.
-    batch_target_ = std::max<int64_t>(1, std::min(batch_target_, k) - 1);
-    c_sched_shrinks_.inc();
-    forwards_since_change_ = 0;
-    g_batch_target_.set(static_cast<double>(batch_target_));
-  }
-}
-
-void InferenceService::maybe_grow_target_locked() {
-  if (!config_.adaptive_batching) return;
-  if (batch_target_ >= config_.batch_max) return;
-  // Grow only under sustained pressure (a queue deeper than twice the
-  // target) after enough clean forwards since the last change — one good
-  // forward must not undo a shrink the next batch would re-learn.
-  if (static_cast<int64_t>(queue_.size()) < 2 * batch_target_) return;
-  if (forwards_since_change_ < kGrowPatience) return;
-  ++batch_target_;
-  c_sched_grows_.inc();
-  forwards_since_change_ = 0;
-  g_batch_target_.set(static_cast<double>(batch_target_));
 }
 
 void InferenceService::finish(Job& job, GroundResponse response) {
@@ -1014,10 +881,6 @@ void InferenceService::record(const GroundResponse& response) {
     case StatusCode::kOk:
       c_served_.inc();
       break;
-    case StatusCode::kDegraded:
-      c_served_.inc();
-      c_degraded_.inc();
-      break;
     case StatusCode::kInvalidInput:
       c_rejected_.inc();
       c_rejected_invalid_.inc();
@@ -1036,8 +899,8 @@ void InferenceService::record(const GroundResponse& response) {
       c_cancelled_.inc();
       break;
     case StatusCode::kResourceExhausted:
-      // Memory-pressure refusal that even the fallback could not answer:
-      // accounted as a rejection (the request was shed, not failed).
+      // Memory-pressure refusal: accounted as a rejection (the request was
+      // shed, not failed).
       c_rejected_.inc();
       c_rejected_resource_.inc();
       break;
@@ -1200,10 +1063,6 @@ ServiceCounters InferenceService::counters() const {
   return counters_from_snapshot(metrics_snapshot());
 }
 
-double InferenceService::latency_p95_ms() const {
-  return h_latency_ms_.snapshot().quantile(0.95);
-}
-
 HealthSnapshot InferenceService::health() const {
   std::lock_guard<std::mutex> lock(mutex_);
   HealthSnapshot snapshot;
@@ -1223,7 +1082,6 @@ ServiceCounters counters_from_snapshot(const obs::MetricsSnapshot& snapshot) {
   ServiceCounters c;
   c.submitted = snapshot.counter("serve.submitted");
   c.served = snapshot.counter("serve.served");
-  c.degraded = snapshot.counter("serve.degraded");
   c.rejected = snapshot.counter("serve.rejected");
   c.rejected_invalid = snapshot.counter("serve.rejected_invalid");
   c.rejected_overloaded = snapshot.counter("serve.rejected_overloaded");
@@ -1243,9 +1101,6 @@ ServiceCounters counters_from_snapshot(const obs::MetricsSnapshot& snapshot) {
       static_cast<int64_t>(snapshot.gauge("serve.queue_high_water"));
   c.max_batch = static_cast<int64_t>(snapshot.gauge("serve.max_batch"));
   c.solo_dispatches = snapshot.counter("serve.solo_dispatches");
-  c.sched_shrinks = snapshot.counter("serve.sched_shrinks");
-  c.sched_grows = snapshot.counter("serve.sched_grows");
-  c.batch_target = static_cast<int64_t>(snapshot.gauge("serve.batch_target"));
   c.workers_warmed =
       static_cast<int64_t>(snapshot.gauge("serve.workers_warmed"));
   c.cache_hits = snapshot.counter("serve.cache_hits");

@@ -10,9 +10,7 @@
 //      │  deadline check          │  deadline check │ model tier (replica,
 //      │  capacity check          │  at dequeue     │  retry on fault)
 //      └─ typed rejection         │                 │ deadline check
-//         (never an exception)    │                 │ baseline fallback tier
-//                                 │                 └─> kOk / kDegraded /
-//                                 │                     typed error
+//         (never an exception)    │                 └─> kOk / typed error
 //
 // Guarantees (DESIGN.md §8):
 //   - the admission queue is bounded: when full, submit() rejects with
@@ -23,25 +21,25 @@
 //   - the model tier runs on per-worker replicas (no shared mutable tensor
 //     state between threads) through the exception-free
 //     YolloModel::infer(); a fault or non-finite forward is retried up to
-//     max_retries times, then the request falls back to the two-stage
-//     baseline tier and is answered kDegraded;
+//     max_retries times, then the request fails typed (kInternalError);
 //   - a circuit breaker trips after breaker_threshold consecutive model
-//     failures and routes requests straight to the baseline tier for
-//     breaker_cooldown requests before probing the model again;
+//     failures and fails the next breaker_cooldown requests fast
+//     (kInternalError, which a router fails over) before probing the model
+//     again;
 //   - every submitted request is answered exactly once, including during
 //     shutdown (stop() drains the queue; nothing hangs).
 //
 // Supervision (DESIGN.md §13): each worker owns an ExecContext armed with
 // the request deadline before every forward attempt, so an expired
-// deadline or an external cancel (client CancelToken, hedge-loser reap,
-// watchdog kick) aborts the forward *in flight* at the next kernel
-// checkpoint instead of after a full pass. A watchdog thread compares
+// deadline or an external cancel (client CancelToken, watchdog kick)
+// aborts the forward *in flight* at the next kernel checkpoint instead of
+// after a full pass. A watchdog thread compares
 // per-worker heartbeats between polls: a busy worker making no progress
 // is kicked (cancelled); one still stuck past a grace period is declared
 // lost — its requests fail as kInternalError, a replacement replica is
 // spawned, and the accounting invariant is preserved. Workers may also
-// carry a storage-pool byte budget: a forward refused by it degrades to
-// the baseline tier instead of OOMing the process.
+// carry a storage-pool byte budget: a forward refused by it is answered
+// kResourceExhausted instead of OOMing the process.
 #pragma once
 
 #include <atomic>
@@ -56,7 +54,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/matcher.h"
 #include "core/yollo.h"
 #include "data/vocab.h"
 #include "obs/metrics.h"
@@ -104,7 +101,7 @@ struct ServeConfig {
   // waits for a batch to fill — under light load this degenerates to
   // single-image serving; under backlog the per-op fixed costs amortise
   // across the batch. Per-request deadlines and per-element
-  // finiteness/clipping checks are preserved: a poisoned element degrades
+  // finiteness/clipping checks are preserved: a poisoned element fails
   // only that request. 1 disables.
   // Formation is slack-aware: the front request always dispatches, and a
   // follower joins only while every rider's deadline slack covers the
@@ -113,13 +110,6 @@ struct ServeConfig {
   // request runs solo instead of being serialised into a batched forward
   // behind strangers whose batch tax it cannot afford.
   int64_t batch_max = 4;
-  // Adaptive batch-size target: the formation cap starts at batch_max,
-  // shrinks when a batched forward misses a rider's deadline or its cost
-  // EWMA goes superlinear versus solo forwards (p95 pressure), and grows
-  // back one step at a time while the queue stays deeper than twice the
-  // target. false — or YOLLO_BATCH_ADAPTIVE=0 at construction — pins the
-  // target at batch_max (slack-aware formation still applies).
-  bool adaptive_batching = true;
   // Content-addressed backbone feature cache budget in MiB (see
   // serve/feature_cache.h): a request whose image bytes were seen before
   // skips the backbone and runs only the query-dependent half. -1 reads
@@ -130,10 +120,10 @@ struct ServeConfig {
   // < 0). <= 0 disables the default deadline.
   int64_t default_deadline_ms = 0;
   // Model-tier retries after a faulted or non-finite forward before the
-  // request degrades to the baseline tier.
+  // request fails with kInternalError.
   int64_t max_retries = 1;
   // Circuit breaker: after this many consecutive model-tier failures the
-  // model is skipped entirely...
+  // model is skipped and requests fail fast with kInternalError...
   int64_t breaker_threshold = 3;
   // ...for this many requests (counted, not timed, so tests are
   // deterministic), after which one request probes the model again.
@@ -163,8 +153,7 @@ struct ServeConfig {
   // Per-worker storage-pool byte budget in MiB. -1 reads
   // YOLLO_POOL_BUDGET_MB at construction; <= 0 disables (the default). A
   // forward refused by the budget is retried after trimming the pool,
-  // then degraded to the baseline tier (kResourceExhausted if even that
-  // cannot answer).
+  // then answered kResourceExhausted (a rejection: the request was shed).
   int64_t pool_budget_mb = -1;
   // Optional scoped fault injector for this service's worker threads (must
   // outlive the service). null keeps the process-wide env-driven injector —
@@ -189,7 +178,7 @@ struct GroundRequest {
 
 struct GroundResponse {
   Status status;
-  vision::Box box;  // valid when status.answered(); clipped to the image
+  vision::Box box;  // valid when status.ok(); clipped to the image
   std::string normalised_query;
   int64_t retries = 0;      // model-tier retries this request consumed
   double latency_ms = 0.0;  // submit() to completion
@@ -204,13 +193,11 @@ struct GroundResponse {
 // struct is the flat view derived from one snapshot.
 struct ServiceCounters {
   int64_t submitted = 0;
-  int64_t served = 0;    // answered: kOk + kDegraded
-  int64_t degraded = 0;  // subset of served answered by the baseline tier
-  int64_t rejected = 0;  // admission rejections (invalid + overloaded)
+  int64_t served = 0;    // kOk answers
+  int64_t rejected = 0;  // invalid + overloaded + resource exhausted
   int64_t rejected_invalid = 0;     // subset of rejected
   int64_t rejected_overloaded = 0;  // subset of rejected
-  int64_t rejected_resource = 0;    // subset of rejected (pool budget, no
-                                    // fallback answer)
+  int64_t rejected_resource = 0;    // subset of rejected (pool budget)
   int64_t deadline_exceeded = 0;
   int64_t failed = 0;     // kInternalError responses
   int64_t cancelled = 0;  // kCancelled responses (token / watchdog kick)
@@ -222,7 +209,7 @@ struct ServiceCounters {
   int64_t workers_spawned = 0;   // replacement workers brought up
   int64_t pool_rejected = 0;     // forwards refused by the pool budget
                                  // (including ones that then succeeded on
-                                 // retry or degraded)
+                                 // retry)
   int64_t queue_high_water = 0;  // deepest the admission queue has been
   // Micro-batching visibility (no effect on the accounting invariant).
   int64_t batches_coalesced = 0;  // coalesced (>= 2 requests) forwards
@@ -230,9 +217,8 @@ struct ServiceCounters {
   int64_t max_batch = 0;          // largest coalesced batch so far
   // Continuous-batching scheduler visibility (no effect on the invariant).
   int64_t solo_dispatches = 0;  // slack-forced solo runs with company queued
-  int64_t sched_shrinks = 0;    // adaptive target steps down (p95 pressure)
-  int64_t sched_grows = 0;      // adaptive target steps back up (deep queue)
-  int64_t batch_target = 0;     // current adaptive formation cap (gauge)
+  int64_t sched_shrinks = 0;    // always 0; last reader: bench_suite
+  int64_t sched_grows = 0;      // always 0; last reader: bench_suite
   int64_t workers_warmed = 0;   // workers past plan warm-up (gauge)
   // Feature-cache visibility (no effect on the invariant).
   int64_t cache_hits = 0;
@@ -252,17 +238,9 @@ struct HealthSnapshot {
 class InferenceService {
  public:
   // `model` is copied into num_workers eval-mode replicas; the source is
-  // not referenced after construction. `fallback` (optional) is the
-  // baseline proposer+matcher tier used for degraded answers; it is shared
-  // and internally serialised (degradation is the rare path). When several
-  // services share one fallback pipeline (a sharded front-end), pass the
-  // same `fallback_mutex` to all of them so the serialisation spans every
-  // sharer; null uses a service-private mutex. `vocab` must outlive the
-  // service.
+  // not referenced after construction. `vocab` must outlive the service.
   InferenceService(core::YolloModel& model, const data::Vocab& vocab,
-                   const ServeConfig& config,
-                   baseline::TwoStagePipeline* fallback = nullptr,
-                   std::mutex* fallback_mutex = nullptr);
+                   const ServeConfig& config);
   ~InferenceService();
 
   InferenceService(const InferenceService&) = delete;
@@ -295,11 +273,6 @@ class InferenceService {
   ServiceCounters counters() const;
   HealthSnapshot health() const;
   obs::MetricsSnapshot metrics_snapshot() const;
-
-  // Live p95 of end-to-end request latency (ms) from the service histogram
-  // — lock-free; the router's hedging policy reads this at high frequency.
-  // 0 until the first request completes.
-  double latency_p95_ms() const;
 
   // The backbone feature cache (disabled unless feature_cache_mb > 0 or
   // YOLLO_FEATURE_CACHE_MB is set). Exposed for warm-up probes, reload
@@ -382,9 +355,9 @@ class InferenceService {
   // One dequeue round: deadline/cancel checks, breaker accounting, then
   // either the single-image path or a coalesced batched forward.
   void process_batch(Worker& self, std::vector<Job>& batch);
-  // Full single-request pipeline: model tier (retries) then fallback tier;
-  // always finishes the job. Also the salvage path for an element that
-  // failed inside a coalesced forward.
+  // Full single-request pipeline through the model tier (retries); always
+  // finishes the job. Also the salvage path for an element that failed
+  // inside a coalesced forward.
   void run_single(Worker& self, Job& job, CacheProbe probe = CacheProbe());
   // Batched dispatch for >= 2 jobs: partitions into a cache-hit group
   // (batched fuse-only forward over the pinned features) and a miss group
@@ -393,20 +366,15 @@ class InferenceService {
   void run_batched_model_tier(Worker& self, const std::vector<Job*>& jobs);
   // One batched forward over >= 2 jobs of the same cache disposition, with
   // per-element failure isolation: healthy elements are answered from the
-  // batch, poisoned ones are retried and degraded individually.
+  // batch, poisoned ones are retried individually.
   void run_batch_group(Worker& self, const std::vector<Job*>& jobs,
                        std::vector<CacheProbe> probes, bool cached_path);
   // Model tier for one job on this worker's replica: deadline-checked,
   // cancellation-armed attempts with retry. The first attempt rides the
   // feature cache when `probe` (or a fresh lookup) hits; failures retry on
-  // the full path. Returns true when `response` is final (answered,
-  // deadline, or cancelled); false when the tier failed and the job should
-  // degrade.
-  bool run_model_tier(Worker& self, Job& job, GroundResponse& response,
+  // the full path. Always leaves a final status in `response`.
+  void run_model_tier(Worker& self, Job& job, GroundResponse& response,
                       CacheProbe probe = CacheProbe());
-  // Baseline tier; always produces a final response (kDegraded or error).
-  void run_fallback_tier(Worker& self, Job& job, const std::string& reason,
-                         GroundResponse& response);
   // Fulfil the job's promise and account the response (no-op when the
   // watchdog already settled it).
   void finish(Job& job, GroundResponse response);
@@ -425,13 +393,8 @@ class InferenceService {
   // first forward completes, so a cold service batches exactly as greedily
   // as the legacy scheduler did).
   double predicted_cost_locked(int64_t k) const;
-  // Feed one completed forward into the cost model and apply the shrink
-  // rule: a batched forward that missed a rider's deadline, or whose cost
-  // EWMA went superlinear versus solo forwards, steps the target down.
-  void note_batch_outcome(int64_t k, double forward_ms, bool deadline_missed);
-  // Applied at formation time: step the target back up when the queue has
-  // stayed deep and recent forwards have been clean.
-  void maybe_grow_target_locked();
+  // Feed one completed forward of size k into its cost EWMA.
+  void note_forward_cost(int64_t k, double forward_ms);
 
   static Clock::time_point resolve_deadline(const GroundRequest& request,
                                             int64_t default_ms,
@@ -440,7 +403,6 @@ class InferenceService {
   ServeConfig config_;
   core::YolloConfig model_config_;
   const data::Vocab* vocab_;
-  baseline::TwoStagePipeline* fallback_;
   // Pristine eval-mode copy used to stamp out replacement replicas: an
   // in-use replica cannot be copied safely (its train/eval flags flip
   // under EvalModeGuard on another thread), this one never runs.
@@ -462,7 +424,6 @@ class InferenceService {
   obs::MetricsRegistry metrics_;
   obs::Counter& c_submitted_;
   obs::Counter& c_served_;
-  obs::Counter& c_degraded_;
   obs::Counter& c_rejected_;
   obs::Counter& c_rejected_invalid_;
   obs::Counter& c_rejected_overloaded_;
@@ -479,11 +440,8 @@ class InferenceService {
   obs::Counter& c_workers_spawned_;
   obs::Counter& c_pool_rejected_;
   obs::Counter& c_solo_dispatches_;
-  obs::Counter& c_sched_shrinks_;
-  obs::Counter& c_sched_grows_;
   obs::Gauge& g_queue_high_water_;
   obs::Gauge& g_max_batch_;
-  obs::Gauge& g_batch_target_;
   obs::Gauge& g_workers_warmed_;
   obs::Histogram& h_queue_depth_;
   obs::Histogram& h_queue_wait_ms_;
@@ -502,10 +460,8 @@ class InferenceService {
   FeatureCache cache_;
 
   // Continuous-batching scheduler state (guarded by mutex_).
-  int64_t batch_target_ = 1;           // adaptive formation cap
   std::vector<double> batch_cost_ewma_;  // [batch_max + 1]; 0 == unknown
-  int64_t forwards_since_change_ = 0;  // grow patience accumulator
-  int64_t warmed_workers_ = 0;         // workers past plan warm-up
+  int64_t warmed_workers_ = 0;           // workers past plan warm-up
 
   // Watchdog lifecycle (separate mutex: the watchdog must be able to poll
   // while mutex_ is busy with queue traffic).
@@ -518,9 +474,6 @@ class InferenceService {
   // immediately (classic half-open behaviour).
   int64_t consecutive_failures_ = 0;
   int64_t breaker_cooldown_left_ = 0;  // > 0 == open
-
-  std::mutex fallback_mutex_;   // serialises the shared baseline tier...
-  std::mutex* fallback_lock_;   // ...or a caller-shared mutex spanning shards
 };
 
 // Flatten a service metrics snapshot ("serve.*" names) into the legacy

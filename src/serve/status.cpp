@@ -6,8 +6,6 @@ const char* status_code_name(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
       return "OK";
-    case StatusCode::kDegraded:
-      return "DEGRADED";
     case StatusCode::kInvalidInput:
       return "INVALID_INPUT";
     case StatusCode::kOverloaded:

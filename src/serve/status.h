@@ -4,18 +4,17 @@
 // code — there is no exception path out of the service. The taxonomy is the
 // contract clients program against (DESIGN.md §8):
 //
-//   kOk               answered by the full YOLLO model
-//   kDegraded         answered, but by the baseline proposer+matcher tier
-//                     after the model tier failed a fault/deadline check
+//   kOk               answered by the YOLLO model
 //   kInvalidInput     rejected at admission: malformed image or query
 //   kOverloaded       rejected at admission: queue full or service stopped
 //   kDeadlineExceeded the request's deadline expired before an answer
-//   kInternalError    the model tier failed and no fallback could answer
+//   kInternalError    the model tier failed after its retries, or its
+//                     circuit breaker is open (fail fast)
 //   kCancelled        the request was cancelled mid-flight (client cancel
-//                     token or hedge-loser reap) before an answer
+//                     token or watchdog kick) before an answer
 //   kResourceExhausted rejected under memory pressure: the worker's storage
-//                     pool budget refused the forward and no fallback could
-//                     answer (DESIGN.md §13)
+//                     pool budget refused every forward attempt
+//                     (DESIGN.md §13)
 #pragma once
 
 #include <string>
@@ -25,7 +24,6 @@ namespace yollo::serve {
 
 enum class StatusCode {
   kOk = 0,
-  kDegraded,
   kInvalidInput,
   kOverloaded,
   kDeadlineExceeded,
@@ -40,17 +38,13 @@ struct Status {
   StatusCode code = StatusCode::kOk;
   std::string message;
 
-  // A request is answered (carries a usable box) when it is kOk or
-  // kDegraded; every other code is a typed failure.
+  // A request is answered (carries a usable box) only when it is kOk;
+  // every other code is a typed failure. answered() is kept as a synonym
+  // for its last reader, bench_suite.
   bool ok() const { return code == StatusCode::kOk; }
-  bool answered() const {
-    return code == StatusCode::kOk || code == StatusCode::kDegraded;
-  }
+  bool answered() const { return ok(); }
 
   static Status ok_status() { return Status{}; }
-  static Status degraded(std::string message) {
-    return Status{StatusCode::kDegraded, std::move(message)};
-  }
   static Status invalid_input(std::string message) {
     return Status{StatusCode::kInvalidInput, std::move(message)};
   }

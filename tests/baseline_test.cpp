@@ -239,6 +239,47 @@ TEST(PipelineTest, GroundReturnsBoxInsideImage) {
   }
 }
 
+TEST(ClippingTest, BaselineGroundClipsToActualImageBounds) {
+  const data::Vocab vocab = data::Vocab::grounding_vocab();
+  ProposerConfig pcfg = small_proposer_config();
+  pcfg.max_proposals = 8;
+  MatcherConfig mcfg = small_matcher_config(vocab);
+  Rng rng(15);
+  RegionProposalNetwork rpn(pcfg, rng);
+  ListenerMatcher listener(mcfg, rng);
+  SpeakerMatcher speaker(mcfg, rng);
+  rpn.set_training(false);
+  listener.set_training(false);
+  speaker.set_training(false);
+  TwoStagePipeline pipeline(rpn, listener, speaker, MatchMode::kListener);
+  const auto expect_inside = [](const vision::Box& box) {
+    EXPECT_TRUE(std::isfinite(box.x) && std::isfinite(box.y) &&
+                std::isfinite(box.w) && std::isfinite(box.h));
+    EXPECT_GE(box.x, 0.0f);
+    EXPECT_GE(box.y, 0.0f);
+    EXPECT_LE(box.x2(), 72.0f + 1e-4f);
+    EXPECT_LE(box.y2(), 48.0f + 1e-4f);
+  };
+
+  // An untrained proposer decodes arbitrary deltas; whatever stage-i emits,
+  // the single-box inference path must hand back a box inside the image.
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Rng image_rng(seed);
+    const Tensor image = Tensor::rand({3, 48, 72}, image_rng);
+    expect_inside(pipeline.ground(image, vocab.encode("red circle")));
+  }
+
+  // Regression for the return-site clip itself: a proposal that leaks past
+  // the frame (negative origin, width/height overshooting the canvas) must
+  // come back fully contained once clipped against the *actual* image dims,
+  // exactly as TwoStagePipeline::ground does.
+  const vision::Box clipped =
+      vision::clip_box(vision::Box{-10.0f, -6.0f, 120.0f, 90.0f}, 72.0f, 48.0f);
+  expect_inside(clipped);
+  EXPECT_LE(clipped.x + clipped.w, 72.0f);
+  EXPECT_LE(clipped.y + clipped.h, 48.0f);
+}
+
 TEST(PipelineTest, ModeNames) {
   EXPECT_STREQ(match_mode_name(MatchMode::kListener), "listener");
   EXPECT_STREQ(match_mode_name(MatchMode::kSpeaker), "speaker");

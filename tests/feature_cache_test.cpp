@@ -464,12 +464,12 @@ TEST_P(CacheScenarioTest, CacheCountersMatchScenario) {
   constexpr int64_t kScale = 1;
 #endif
   const testing::ServeScenarioOutcome out = testing::run_serve_scenario(
-      model, vocab, /*fallback=*/nullptr, scenario, /*requests=*/24,
+      model, vocab, scenario, /*requests=*/24,
       /*distinct_images=*/4, kScale);
 
   if (scenario.warm_cache) {
     // Pre-warmed: every measured request's image is resident, so the run
-    // must see hits (fault rows may re-miss after a degraded forward).
+    // must see hits (fault rows may re-miss after a failed forward).
     EXPECT_GT(out.counters.cache_hits, 0) << scenario.name;
   } else {
     EXPECT_EQ(out.counters.cache_hits, 0) << scenario.name;

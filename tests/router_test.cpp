@@ -1,6 +1,6 @@
 // Sharded router tests: consistent-hash ring stability, health-aware
-// routing, failover on shard failure, hedged-request dedup, drain/probe
-// (half-open) shard recovery, and a chaos run that kills a shard mid-flight
+// routing, failover on shard failure, one attempt in flight per request,
+// drain/probe (half-open) shard recovery, and a chaos run that kills a shard mid-flight
 // while a concurrent poller asserts the router accounting invariant
 //
 //   served + rejected + deadline_exceeded + failed == submitted
@@ -16,15 +16,12 @@
 #include <cstdlib>
 #include <future>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baseline/matcher.h"
-#include "baseline/proposer.h"
 #include "runtime/fault.h"
 #include "serve/router.h"
 #include "serve/service.h"
@@ -72,32 +69,7 @@ struct RouterHarness {
   Rng rng{123};
   core::YolloModel model{cfg, vocab.size(), rng};
 
-  baseline::ProposerConfig pcfg;
-  std::unique_ptr<baseline::RegionProposalNetwork> rpn;
-  std::unique_ptr<baseline::ListenerMatcher> listener;
-  std::unique_ptr<baseline::SpeakerMatcher> speaker;
-  std::unique_ptr<baseline::TwoStagePipeline> pipeline;
-
-  RouterHarness() {
-    model.set_training(false);
-    pcfg.img_h = cfg.img_h;
-    pcfg.img_w = cfg.img_w;
-    pcfg.max_proposals = 8;
-    Rng prng(7);
-    rpn = std::make_unique<baseline::RegionProposalNetwork>(pcfg, prng);
-    rpn->set_training(false);
-    baseline::MatcherConfig mcfg;
-    mcfg.patch = 16;
-    mcfg.emb_dim = 16;
-    mcfg.word_dim = 16;
-    mcfg.vocab_size = vocab.size();
-    listener = std::make_unique<baseline::ListenerMatcher>(mcfg, prng);
-    listener->set_training(false);
-    speaker = std::make_unique<baseline::SpeakerMatcher>(mcfg, prng);
-    speaker->set_training(false);
-    pipeline = std::make_unique<baseline::TwoStagePipeline>(
-        *rpn, *listener, *speaker, baseline::MatchMode::kListener);
-  }
+  RouterHarness() { model.set_training(false); }
 
   Tensor image(uint64_t seed = 5) {
     Rng r(seed);
@@ -125,7 +97,6 @@ struct RouterHarness {
     rc.shard.breaker_threshold = 1000;
     rc.health_interval_ms = 1000000;
     rc.shard_failure_threshold = 1000;
-    rc.hedging = false;
     return rc;
   }
 };
@@ -143,8 +114,6 @@ std::string id_owned_by(const Router& router, int64_t shard) {
 void expect_invariant(const RouterCounters& c) {
   EXPECT_EQ(c.served + c.rejected + c.deadline_exceeded + c.failed,
             c.submitted);
-  EXPECT_LE(c.degraded, c.served);
-  EXPECT_LE(c.hedges_won, c.hedges_launched);
 }
 
 // --- hash ring --------------------------------------------------------------
@@ -231,7 +200,7 @@ TEST(HashRingTest, WalkVisitsEveryNodeOnceStartingAtOwner) {
 TEST(RouterTest, ServesAndKeepsKeyAffinity) {
   FaultGuard guard;
   RouterHarness h;
-  Router router(h.model, h.vocab, h.frozen_config(), h.pipeline.get());
+  Router router(h.model, h.vocab, h.frozen_config());
 
   // Same image_id -> same shard, across repeats.
   const std::string id = id_owned_by(router, 1);
@@ -240,7 +209,6 @@ TEST(RouterTest, ServesAndKeepsKeyAffinity) {
     EXPECT_TRUE(response.status.ok()) << response.status.to_string();
     EXPECT_EQ(response.shard, 1);
     EXPECT_EQ(response.failovers, 0);
-    EXPECT_FALSE(response.hedged);
   }
   // An empty image_id falls back to a content hash: the same pixels land on
   // the same shard both times.
@@ -270,7 +238,7 @@ TEST(RouterTest, ServesAndKeepsKeyAffinity) {
 TEST(RouterTest, InvalidInputIsTerminalWithoutFailover) {
   FaultGuard guard;
   RouterHarness h;
-  Router router(h.model, h.vocab, h.frozen_config(), h.pipeline.get());
+  Router router(h.model, h.vocab, h.frozen_config());
 
   const RouteResponse response = router.route(h.request("x", ""));
   EXPECT_EQ(response.status.code, StatusCode::kInvalidInput);
@@ -286,7 +254,7 @@ TEST(RouterTest, InvalidInputIsTerminalWithoutFailover) {
 TEST(RouterTest, StopRejectsNewAndResolvesEverything) {
   FaultGuard guard;
   RouterHarness h;
-  Router router(h.model, h.vocab, h.frozen_config(), h.pipeline.get());
+  Router router(h.model, h.vocab, h.frozen_config());
 
   std::vector<std::future<RouteResponse>> futures;
   for (int i = 0; i < 12; ++i) {
@@ -311,9 +279,8 @@ TEST(RouterTest, StopRejectsNewAndResolvesEverything) {
 TEST(RouterTest, FailsOverWhenOwnerShardFails) {
   FaultGuard guard;
   RouterHarness h;
-  RouterConfig rc = h.frozen_config();
-  // No fallback tier: a faulted model answers kInternalError (retryable).
-  Router router(h.model, h.vocab, rc, /*fallback=*/nullptr);
+  // A faulted model answers kInternalError (retryable).
+  Router router(h.model, h.vocab, h.frozen_config());
 
   const int64_t owner = 0;
   const std::string id = id_owned_by(router, owner);
@@ -343,7 +310,7 @@ TEST(RouterTest, FailsOverWhenOwnerShardFails) {
 TEST(RouterTest, AllShardsFailingYieldsTypedFailureNotAHang) {
   FaultGuard guard;
   RouterHarness h;
-  Router router(h.model, h.vocab, h.frozen_config(), /*fallback=*/nullptr);
+  Router router(h.model, h.vocab, h.frozen_config());
 
   runtime::FaultInjector::Config fc;
   fc.fail_forward_count = 1000;
@@ -361,148 +328,55 @@ TEST(RouterTest, AllShardsFailingYieldsTypedFailureNotAHang) {
   expect_invariant(counters);
 }
 
-// --- hedged retries ---------------------------------------------------------
+// --- one attempt in flight -------------------------------------------------
 
-TEST(RouterTest, HedgesWhenPrimaryP95ThreatensDeadline) {
+TEST(RouterTest, SlowOwnerGetsOneAttemptAndNoFailover) {
   FaultGuard guard;
   RouterHarness h;
-  RouterConfig rc = h.frozen_config();
-  rc.hedging = true;
-  rc.hedge_budget = 1.0;         // the budget is not the thing under test
-  rc.health_interval_ms = 2;     // cache the slow shard's p95 quickly
-  rc.drain_score = -1.0;         // ...but never drain anyone in this test
-  Router router(h.model, h.vocab, rc, h.pipeline.get());
+  RouterConfig rc;
+  rc.num_shards = 3;
+  rc.shard.num_workers = 1;
+  rc.shard.max_retries = 0;
+  rc.health_interval_ms = 2;  // the health loop watches the slow owner...
+  rc.drain_score = -1.0;      // ...but never drains it in this test
+  Router router(h.model, h.vocab, rc);
 
+  // Traffic on the other shards' keys first, so a duplicate-request policy
+  // capped at a share of submissions would have room to send one more.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(router.route(h.request(id_owned_by(router, 0))).status.ok());
+    EXPECT_TRUE(router.route(h.request(id_owned_by(router, 2))).status.ok());
+  }
   const int64_t owner = 1;
   const std::string id = id_owned_by(router, owner);
   runtime::FaultInjector::Config fc;
-  fc.slow_forward_ms = 400 * kTimeScale;
+  fc.slow_forward_ms = 200 * kTimeScale;
   fc.slow_forward_count = 100;
   router.shard_injector(owner)->configure(fc);
-
-  // Prime the owner's latency histogram: two ~400ms requests put its p95 in
-  // the 204.8..409.6ms bucket, far above the hedged request's budget.
   for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(router.route(h.request(id)).status.answered());
+    EXPECT_TRUE(router.route(h.request(id)).status.ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // 250ms of budget < ~400ms p95: the router must duplicate the request on
-  // the ring successor; the healthy duplicate answers in milliseconds while
-  // the primary is still sleeping. First answer wins.
+  // The owner is slower than the request's budget. The request still gets
+  // exactly one attempt, on its owner: a deadline miss is not retryable, so
+  // it is answered typed without a failover and no shard is asked twice.
   RouteRequest req = h.request(id);
-  req.deadline_ms = 250 * kTimeScale;
+  req.deadline_ms = 100 * kTimeScale;
   const RouteResponse response = router.route(std::move(req));
-  EXPECT_TRUE(response.status.ok()) << response.status.to_string();
-  EXPECT_TRUE(response.hedged);
-  EXPECT_TRUE(response.hedge_won);
-  EXPECT_NE(response.shard, owner);
+  EXPECT_EQ(response.status.code, StatusCode::kDeadlineExceeded)
+      << response.status.to_string();
+  EXPECT_EQ(response.failovers, 0);
 
-  // First-wins dedup: the request is counted served exactly once even
-  // though two shards answered it.
+  int64_t shard_submissions = 0;
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    shard_submissions += router.shard(s).counters().submitted;
+  }
+  EXPECT_EQ(shard_submissions, 11);  // one per routed request
   const RouterCounters counters = router.counters();
-  EXPECT_EQ(counters.submitted, 3);
-  EXPECT_EQ(counters.served, 3);
-  EXPECT_EQ(counters.hedges_launched, 1);
-  EXPECT_EQ(counters.hedges_won, 1);
-  expect_invariant(counters);
-}
-
-TEST(RouterTest, HedgeLoserIsCancelledAndAccountedAtTheShard) {
-  FaultGuard guard;
-  RouterHarness h;
-  RouterConfig rc = h.frozen_config();
-  rc.hedging = true;
-  rc.hedge_budget = 1.0;
-  rc.health_interval_ms = 2;
-  rc.drain_score = -1.0;
-  Router router(h.model, h.vocab, rc, h.pipeline.get());
-
-  const int64_t owner = 1;
-  const std::string id = id_owned_by(router, owner);
-  runtime::FaultInjector::Config fc;
-  fc.slow_forward_ms = 400 * kTimeScale;
-  fc.slow_forward_count = 100;
-  router.shard_injector(owner)->configure(fc);
-
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(router.route(h.request(id)).status.answered());
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  RouteRequest req = h.request(id);
-  req.deadline_ms = 250 * kTimeScale;
-  const RouteResponse response = router.route(std::move(req));
-  EXPECT_TRUE(response.status.ok()) << response.status.to_string();
-  EXPECT_TRUE(response.hedge_won);
-  EXPECT_NE(response.shard, owner);
-
-  // The winner's landing cancelled the loser's token: the primary attempt
-  // on the owner aborts its slow forward instead of sleeping out the full
-  // injected 400ms. Poll until the loser drains at the shard level.
-  const auto resolve_by =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  ServiceCounters sc;
-  for (;;) {
-    sc = router.shard(owner).counters();
-    if (sc.served + sc.rejected + sc.deadline_exceeded + sc.failed +
-            sc.cancelled ==
-        sc.submitted) {
-      break;
-    }
-    ASSERT_LT(std::chrono::steady_clock::now(), resolve_by)
-        << "hedge loser never resolved on the owner shard";
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // 2 priming requests served + the losing primary attempt cancelled. The
-  // cancel is a shard-local verdict: the router's own taxonomy never sees
-  // it (the job was already served by the winner).
-  EXPECT_EQ(sc.submitted, 3);
-  EXPECT_EQ(sc.served, 2);
-  EXPECT_EQ(sc.cancelled, 1);
-  EXPECT_EQ(sc.deadline_exceeded, 0);
-
-  const RouterCounters counters = router.counters();
-  EXPECT_EQ(counters.hedges_launched, 1);
-  EXPECT_EQ(counters.hedges_won, 1);
-  EXPECT_EQ(counters.hedge_cancelled, 1);
-  EXPECT_EQ(counters.served, 3);
-  expect_invariant(counters);
-}
-
-TEST(RouterTest, HedgeBudgetCapsDuplicateLoad) {
-  FaultGuard guard;
-  RouterHarness h;
-  RouterConfig rc = h.frozen_config();
-  rc.hedging = true;
-  rc.hedge_budget = 0.10;
-  rc.health_interval_ms = 2;
-  rc.drain_score = -1.0;
-  Router router(h.model, h.vocab, rc, h.pipeline.get());
-
-  const int64_t owner = 1;
-  const std::string id = id_owned_by(router, owner);
-  runtime::FaultInjector::Config fc;
-  fc.slow_forward_ms = 300 * kTimeScale;
-  fc.slow_forward_count = 2;  // only the priming requests are slow
-  router.shard_injector(owner)->configure(fc);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(router.route(h.request(id)).status.answered());
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  // Every request now sees p95 >> budget and would love a hedge; the 10%
-  // budget must cap how many actually get one.
-  constexpr int kRequests = 40;
-  for (int i = 0; i < kRequests; ++i) {
-    RouteRequest req = h.request(id);
-    req.deadline_ms = 100 * kTimeScale;
-    const RouteResponse response = router.route(std::move(req));
-    EXPECT_TRUE(response.status.answered()) << response.status.to_string();
-  }
-  const RouterCounters counters = router.counters();
-  EXPECT_LE(counters.hedges_launched,
-            static_cast<int64_t>(0.10 * counters.submitted) + 1);
+  EXPECT_EQ(counters.submitted, 11);
+  EXPECT_EQ(counters.failovers, 0);
+  EXPECT_EQ(counters.deadline_exceeded, 1);
   expect_invariant(counters);
 }
 
@@ -516,12 +390,11 @@ TEST(RouterTest, DegradedShardIsDrainedProbedAndRestored) {
   rc.shard.num_workers = 1;
   rc.shard.max_retries = 0;
   rc.shard.breaker_threshold = 1000;  // shard-level drain is the test
-  rc.hedging = false;
   rc.health_interval_ms = 2;
   rc.shard_failure_threshold = 2;
   rc.drain_cooldown_ms = 10;
   rc.probe_interval_ms = 2;
-  Router router(h.model, h.vocab, rc, /*fallback=*/nullptr);
+  Router router(h.model, h.vocab, rc);
 
   const int64_t owner = 2;
   const std::string id = id_owned_by(router, owner);
@@ -583,7 +456,7 @@ TEST(RouterTest, KilledShardStaysOutOfRotation) {
   rc.health_interval_ms = 2;
   rc.drain_cooldown_ms = 5;
   rc.probe_interval_ms = 2;
-  Router router(h.model, h.vocab, rc, h.pipeline.get());
+  Router router(h.model, h.vocab, rc);
 
   const std::string id = id_owned_by(router, 0);
   router.kill_shard(0);
@@ -635,9 +508,7 @@ TEST(RouterChaosTest, ShardKilledMidRunLosesNoRequests) {
   rc.health_interval_ms = 2;
   rc.shard_failure_threshold = 3;
   rc.drain_cooldown_ms = 10;
-  rc.hedging = true;
-  rc.hedge_budget = 0.10;
-  Router router(h.model, h.vocab, rc, h.pipeline.get());
+  Router router(h.model, h.vocab, rc);
 
   const char* queries[] = {"red circle", "the large square",
                            "blue thing on the left", "small green triangle"};
@@ -652,8 +523,7 @@ TEST(RouterChaosTest, ShardKilledMidRunLosesNoRequests) {
       const RouterCounters c = router.counters();
       const bool coherent =
           c.served + c.rejected + c.deadline_exceeded + c.failed <=
-              c.submitted &&
-          c.degraded <= c.served && c.hedges_won <= c.hedges_launched;
+          c.submitted;
       if (!coherent) poll_violations.fetch_add(1);
       polls.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -701,7 +571,6 @@ TEST(RouterChaosTest, ShardKilledMidRunLosesNoRequests) {
       const RouteResponse response = future.get();
       switch (response.status.code) {
         case StatusCode::kOk:
-        case StatusCode::kDegraded:
           ++answered;
           break;
         case StatusCode::kInvalidInput:
@@ -745,26 +614,30 @@ TEST(RouterChaosTest, PoisonedShardDegradesItsKeysOnly) {
   RouterHarness h;
   RouterConfig rc = h.frozen_config();
   rc.shard.max_retries = 0;
-  Router router(h.model, h.vocab, rc, h.pipeline.get());
+  Router router(h.model, h.vocab, rc);
 
   runtime::FaultInjector::Config fc;
   fc.poison_forward_count = 1000;
   router.shard_injector(0)->configure(fc);
 
-  // Shard 0's keys degrade to the baseline tier (answered, typed); the
-  // other shards' keys are full-quality — proof the poison is scoped.
+  // Shard 0's keys pay one failover each (its poisoned answers are typed
+  // kInternalError); the other shards' keys are served by their owner
+  // without one — proof the poison is scoped.
   const std::string sick = id_owned_by(router, 0);
   const std::string well = id_owned_by(router, 1);
   for (int i = 0; i < 3; ++i) {
-    const RouteResponse degraded = router.route(h.request(sick));
-    EXPECT_EQ(degraded.status.code, StatusCode::kDegraded)
-        << degraded.status.to_string();
+    const RouteResponse failed_over = router.route(h.request(sick));
+    EXPECT_TRUE(failed_over.status.ok()) << failed_over.status.to_string();
+    EXPECT_NE(failed_over.shard, 0);
+    EXPECT_EQ(failed_over.failovers, 1);
     const RouteResponse ok = router.route(h.request(well));
     EXPECT_TRUE(ok.status.ok()) << ok.status.to_string();
+    EXPECT_EQ(ok.shard, 1);
+    EXPECT_EQ(ok.failovers, 0);
   }
   const RouterCounters counters = router.counters();
   EXPECT_EQ(counters.served, 6);
-  EXPECT_EQ(counters.degraded, 3);
+  EXPECT_EQ(counters.failovers, 3);
   expect_invariant(counters);
 }
 

@@ -1,9 +1,8 @@
 // Continuous-batching scheduler tests (DESIGN.md §15): the burst-throughput
 // regression that motivated the rewrite (BENCH_infer.json serve_burst:
 // batch_max 8 ran at 0.78x of batch_max 1 under the greedy coalescer),
-// slack-forced solo dispatch for near-deadline stragglers, the adaptive
-// batch-size target's shrink/grow rules under injected slow forwards, and
-// the five-term accounting invariant under a concurrent metrics poller.
+// slack-forced solo dispatch for near-deadline stragglers, and the
+// five-term accounting invariant under a concurrent metrics poller.
 //
 // Suite names deliberately contain "Batch" so `ctest -R 'serve|cache|batch'`
 // selects everything here.
@@ -18,8 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/matcher.h"
-#include "baseline/proposer.h"
 #include "runtime/fault.h"
 #include "serve/service.h"
 #include "test_util.h"
@@ -55,40 +52,15 @@ core::YolloConfig tiny_config() {
   return cfg;
 }
 
-// Untrained model + untrained two-stage fallback (scheduler behaviour does
-// not depend on grounding accuracy) — the serve_test harness, trimmed.
+// Untrained model (scheduler behaviour does not depend on grounding
+// accuracy) — the serve_test harness, trimmed.
 struct BatchHarness {
   data::Vocab vocab = data::Vocab::grounding_vocab();
   core::YolloConfig cfg = tiny_config();
   Rng rng{123};
   core::YolloModel model{cfg, vocab.size(), rng};
 
-  baseline::ProposerConfig pcfg;
-  std::unique_ptr<baseline::RegionProposalNetwork> rpn;
-  std::unique_ptr<baseline::ListenerMatcher> listener;
-  std::unique_ptr<baseline::SpeakerMatcher> speaker;
-  std::unique_ptr<baseline::TwoStagePipeline> pipeline;
-
-  BatchHarness() {
-    model.set_training(false);
-    pcfg.img_h = cfg.img_h;
-    pcfg.img_w = cfg.img_w;
-    pcfg.max_proposals = 8;
-    Rng prng(7);
-    rpn = std::make_unique<baseline::RegionProposalNetwork>(pcfg, prng);
-    rpn->set_training(false);
-    baseline::MatcherConfig mcfg;
-    mcfg.patch = 16;
-    mcfg.emb_dim = 16;
-    mcfg.word_dim = 16;
-    mcfg.vocab_size = vocab.size();
-    listener = std::make_unique<baseline::ListenerMatcher>(mcfg, prng);
-    listener->set_training(false);
-    speaker = std::make_unique<baseline::SpeakerMatcher>(mcfg, prng);
-    speaker->set_training(false);
-    pipeline = std::make_unique<baseline::TwoStagePipeline>(
-        *rpn, *listener, *speaker, baseline::MatchMode::kListener);
-  }
+  BatchHarness() { model.set_training(false); }
 
   Tensor image(uint64_t seed = 5) {
     Rng r(seed);
@@ -104,27 +76,14 @@ struct BatchHarness {
   }
 };
 
-// Poll until every worker reports plan warm-up complete: the same gauge the
-// burst benchmark waits on before starting its clock, so a throughput
-// measurement never charges warm-up compiles to the serving path.
-void wait_for_warm(const InferenceService& service, int64_t workers) {
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(30ll * kTimeScale);
-  while (service.counters().workers_warmed < workers) {
-    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
-        << "workers never finished plan warm-up";
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-}
-
 TEST(ServeBatchTest, WarmupGaugeReachesWorkerCount) {
   FaultGuard guard;
   BatchHarness h;
   ServeConfig sc;
   sc.num_workers = 3;
   sc.batch_max = 4;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
-  wait_for_warm(service, 3);
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 3);
   EXPECT_EQ(service.counters().workers_warmed, 3);
 }
 
@@ -145,8 +104,8 @@ BurstResult run_burst(BatchHarness& h, int64_t batch_max, int64_t requests) {
   sc.queue_capacity = requests;
   sc.batch_max = batch_max;
   sc.feature_cache_mb = 0;  // isolate the scheduler from the cache
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
-  wait_for_warm(service, sc.num_workers);
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, sc.num_workers);
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::future<GroundResponse>> futures;
@@ -225,7 +184,8 @@ TEST(ServeBatchTest, NearDeadlineStragglersDispatchSoloAndAreCounted) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.batch_max = 4;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   // Prime the solo cost model with one ~250ms sample.
   EXPECT_TRUE(service.ground(h.request("red circle", 1)).status.ok());
@@ -254,92 +214,6 @@ TEST(ServeBatchTest, NearDeadlineStragglersDispatchSoloAndAreCounted) {
   testing::expect_serve_invariant(counters);
 }
 
-// --- adaptive target: shrink on deadline miss, regrow on deep queue ---------
-
-TEST(ServeBatchTest, AdaptiveTargetShrinksOnMissedBatchThenRegrows) {
-  FaultGuard guard;
-  BatchHarness h;
-
-  ServeConfig sc;
-  sc.num_workers = 1;
-  sc.batch_max = 2;
-  sc.max_retries = 1;
-  sc.breaker_threshold = 100;  // keep the breaker out of this test
-  // Let the injected slow forward run to completion instead of being
-  // cancelled at the riders' deadline — the shrink rule needs the batch to
-  // finish late, deterministically.
-  sc.enable_cancellation = false;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
-  wait_for_warm(service, 1);
-  EXPECT_EQ(service.counters().batch_target, 2);  // starts at batch_max
-
-  // Seed the solo cost EWMA with one fast clean forward, so the slow batch
-  // below reads as a deadline miss, not as cold-start noise.
-  EXPECT_TRUE(service.ground(h.request("red circle", 1)).status.ok());
-
-  // Blocker: two slow+failed attempts (~600ms total, neither feeds the cost
-  // model — a faulted forward is not a cost sample) ending in a degraded
-  // answer. While it runs, two riders queue with budgets that cover the
-  // wait but not a 300ms batched forward on top of it.
-  runtime::FaultInjector::Config fc;
-  fc.slow_forward_ms = 300 * kTimeScale;
-  fc.slow_forward_count = 3;
-  fc.fail_forward_count = 2;
-  runtime::FaultInjector::instance().configure(fc);
-
-  auto blocker = service.submit(h.request("red circle", 2));
-  std::this_thread::sleep_for(std::chrono::milliseconds(25 * kTimeScale));
-  std::vector<std::future<GroundResponse>> riders;
-  for (uint64_t i = 0; i < 2; ++i) {
-    GroundRequest req = h.request("red circle", 50 + i);
-    req.deadline_ms = 700 * kTimeScale;
-    riders.push_back(service.submit(std::move(req)));
-  }
-  EXPECT_TRUE(blocker.get().status.answered());
-  for (auto& f : riders) (void)f.get();
-
-  ServiceCounters counters = service.counters();
-  EXPECT_GE(counters.sched_shrinks, 1)
-      << "a batched forward that missed its riders' deadlines must step the "
-         "target down";
-  EXPECT_EQ(counters.batch_target, 1);
-
-  // Regrow: a deep deadline-free backlog of fast forwards must step the
-  // target back up after the patience window.
-  std::vector<std::future<GroundResponse>> backlog;
-  for (uint64_t i = 0; i < 12; ++i) {
-    backlog.push_back(service.submit(h.request("red circle", 80 + i)));
-  }
-  for (auto& f : backlog) {
-    EXPECT_TRUE(f.get().status.answered());
-  }
-  counters = service.counters();
-  EXPECT_GE(counters.sched_grows, 1)
-      << "a sustained deep queue must grow the target back";
-  testing::expect_serve_invariant(counters);
-}
-
-TEST(ServeBatchTest, AdaptiveEscapeHatchPinsTarget) {
-  FaultGuard guard;
-  BatchHarness h;
-  ServeConfig sc;
-  sc.num_workers = 1;
-  sc.batch_max = 4;
-  sc.adaptive_batching = false;  // YOLLO_BATCH_ADAPTIVE=0 sets the same flag
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
-  wait_for_warm(service, 1);
-
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(
-        service.ground(h.request("red circle", static_cast<uint64_t>(i)))
-            .status.ok());
-  }
-  const ServiceCounters counters = service.counters();
-  EXPECT_EQ(counters.batch_target, 4);  // pinned at batch_max
-  EXPECT_EQ(counters.sched_shrinks, 0);
-  EXPECT_EQ(counters.sched_grows, 0);
-}
-
 // --- accounting invariant under a concurrent poller -------------------------
 
 TEST(ServeBatchTest, FiveTermInvariantHoldsUnderConcurrentPoller) {
@@ -347,7 +221,8 @@ TEST(ServeBatchTest, FiveTermInvariantHoldsUnderConcurrentPoller) {
   BatchHarness h;
 
   // A scoped injector bound to this service's workers: a few transient
-  // faults mid-run exercise retry/degrade while the poller watches.
+  // faults mid-run exercise retry and typed failure while the poller
+  // watches.
   runtime::FaultInjector injector;
   runtime::FaultInjector::Config fc;
   fc.fail_forward_count = 6;
@@ -359,7 +234,7 @@ TEST(ServeBatchTest, FiveTermInvariantHoldsUnderConcurrentPoller) {
   sc.batch_max = 8;
   sc.feature_cache_mb = 8;
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> polls{0};
@@ -371,7 +246,6 @@ TEST(ServeBatchTest, FiveTermInvariantHoldsUnderConcurrentPoller) {
       EXPECT_LE(c.served + c.rejected + c.deadline_exceeded + c.failed +
                     c.cancelled,
                 c.submitted);
-      EXPECT_GE(c.served, c.degraded);
       polls.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -440,7 +314,7 @@ TEST_P(ServeBatchScenarioTest, BatchingCountersMatchScenario) {
   const testing::ServeScenario& scenario = GetParam();
 
   const testing::ServeScenarioOutcome out = testing::run_serve_scenario(
-      h.model, h.vocab, h.pipeline.get(), scenario, /*requests=*/24,
+      h.model, h.vocab, scenario, /*requests=*/24,
       /*distinct_images=*/4, kTimeScale);
 
   if (scenario.batch_max == 1) {
@@ -449,8 +323,6 @@ TEST_P(ServeBatchScenarioTest, BatchingCountersMatchScenario) {
   } else {
     EXPECT_LE(out.counters.max_batch, scenario.batch_max) << scenario.name;
   }
-  EXPECT_LE(out.counters.batch_target, scenario.batch_max) << scenario.name;
-  EXPECT_GE(out.counters.batch_target, 1) << scenario.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

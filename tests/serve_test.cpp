@@ -1,7 +1,7 @@
 // Serving-layer tests: typed error taxonomy, admission validation, the
 // exception-free inference entry point, bounded-queue backpressure,
-// deadlines at every stage, retry + circuit-breaker degradation to the
-// baseline tier, and a multi-threaded stress run under injected faults.
+// deadlines at every stage, retry + circuit-breaker fail-fast, and a
+// multi-threaded stress run under injected faults.
 //
 // Every fault-driven branch is exercised through runtime::FaultInjector's
 // inference-path hooks — the service must answer every request with a typed
@@ -15,20 +15,18 @@
 #include <cmath>
 #include <future>
 #include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baseline/matcher.h"
-#include "baseline/proposer.h"
 #include "nn/layers.h"
 #include "runtime/fault.h"
 #include "serve/service.h"
 #include "serve/status.h"
 #include "serve/validation.h"
+#include "test_util.h"
 
 // TSan slows real forward passes ~15x while injected wall-clock delays
 // (slow_forward_ms) stay fixed; stretch the latency constants of the
@@ -65,40 +63,15 @@ core::YolloConfig tiny_config() {
   return cfg;
 }
 
-// Untrained model + untrained two-stage fallback tier: the service's
-// behaviour under faults does not depend on grounding accuracy.
+// Untrained model: the service's behaviour under faults does not depend on
+// grounding accuracy.
 struct ServeHarness {
   data::Vocab vocab = data::Vocab::grounding_vocab();
   core::YolloConfig cfg = tiny_config();
   Rng rng{123};
   core::YolloModel model{cfg, vocab.size(), rng};
 
-  baseline::ProposerConfig pcfg;
-  std::unique_ptr<baseline::RegionProposalNetwork> rpn;
-  std::unique_ptr<baseline::ListenerMatcher> listener;
-  std::unique_ptr<baseline::SpeakerMatcher> speaker;
-  std::unique_ptr<baseline::TwoStagePipeline> pipeline;
-
-  ServeHarness() {
-    model.set_training(false);
-    pcfg.img_h = cfg.img_h;
-    pcfg.img_w = cfg.img_w;
-    pcfg.max_proposals = 8;
-    Rng prng(7);
-    rpn = std::make_unique<baseline::RegionProposalNetwork>(pcfg, prng);
-    rpn->set_training(false);
-    baseline::MatcherConfig mcfg;
-    mcfg.patch = 16;
-    mcfg.emb_dim = 16;
-    mcfg.word_dim = 16;
-    mcfg.vocab_size = vocab.size();
-    listener = std::make_unique<baseline::ListenerMatcher>(mcfg, prng);
-    listener->set_training(false);
-    speaker = std::make_unique<baseline::SpeakerMatcher>(mcfg, prng);
-    speaker->set_training(false);
-    pipeline = std::make_unique<baseline::TwoStagePipeline>(
-        *rpn, *listener, *speaker, baseline::MatchMode::kListener);
-  }
+  ServeHarness() { model.set_training(false); }
 
   Tensor image(uint64_t seed = 5) {
     Rng r(seed);
@@ -127,13 +100,13 @@ void expect_box_within(const vision::Box& box, const core::YolloConfig& cfg) {
 
 TEST(StatusTest, CodeNamesAndPredicates) {
   EXPECT_STREQ(status_code_name(StatusCode::kOk), "OK");
-  EXPECT_STREQ(status_code_name(StatusCode::kDegraded), "DEGRADED");
   EXPECT_STREQ(status_code_name(StatusCode::kOverloaded), "OVERLOADED");
+  EXPECT_STREQ(status_code_name(StatusCode::kResourceExhausted),
+               "RESOURCE_EXHAUSTED");
 
   EXPECT_TRUE(Status::ok_status().ok());
   EXPECT_TRUE(Status::ok_status().answered());
-  EXPECT_FALSE(Status::degraded("x").ok());
-  EXPECT_TRUE(Status::degraded("x").answered());
+  EXPECT_FALSE(Status::internal("x").answered());
   EXPECT_FALSE(Status::overloaded("x").answered());
   EXPECT_EQ(Status::invalid_input("bad").to_string(), "INVALID_INPUT: bad");
 }
@@ -293,35 +266,6 @@ TEST(InferTest, TransientForwardFailureIsTyped) {
   EXPECT_TRUE(outcome.ok()) << outcome.message;
 }
 
-// --- single-box clipping regression -----------------------------------------
-
-TEST(ClippingTest, BaselineGroundClipsToActualImageBounds) {
-  FaultGuard guard;
-  ServeHarness h;
-  // An untrained proposer decodes arbitrary deltas; whatever stage-i emits,
-  // the single-box inference path must hand back a box inside the image.
-  const std::vector<int64_t> tokens =
-      data::pad_to(h.vocab.encode("red circle"), h.cfg.max_query_len);
-  for (uint64_t seed = 0; seed < 4; ++seed) {
-    const vision::Box box = h.pipeline->ground(h.image(seed), tokens);
-    expect_box_within(box, h.cfg);
-  }
-
-  // Regression for the return-site clip itself: a proposal that leaks past
-  // the frame (negative origin, width/height overshooting the canvas) must
-  // come back fully contained once clipped against the *actual* image dims,
-  // exactly as TwoStagePipeline::ground does.
-  const vision::Box wild{-10.0f, -6.0f, 120.0f, 90.0f};
-  const vision::Box clipped =
-      vision::clip_box(wild, static_cast<float>(h.cfg.img_w),
-                       static_cast<float>(h.cfg.img_h));
-  expect_box_within(clipped, h.cfg);
-  EXPECT_GE(clipped.x, 0.0f);
-  EXPECT_GE(clipped.y, 0.0f);
-  EXPECT_LE(clipped.x + clipped.w, static_cast<float>(h.cfg.img_w));
-  EXPECT_LE(clipped.y + clipped.h, static_cast<float>(h.cfg.img_h));
-}
-
 // --- service behaviour ------------------------------------------------------
 
 TEST(ServiceTest, ServesValidRequestAndCounts) {
@@ -329,7 +273,7 @@ TEST(ServiceTest, ServesValidRequestAndCounts) {
   ServeHarness h;
   ServeConfig sc;
   sc.num_workers = 2;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   const GroundResponse response = service.ground(h.request("the red circle"));
   EXPECT_TRUE(response.status.ok()) << response.status.to_string();
@@ -340,7 +284,6 @@ TEST(ServiceTest, ServesValidRequestAndCounts) {
   const obs::MetricsSnapshot snap = service.metrics_snapshot();
   EXPECT_EQ(snap.counter("serve.submitted"), 1);
   EXPECT_EQ(snap.counter("serve.served"), 1);
-  EXPECT_EQ(snap.counter("serve.degraded"), 0);
   EXPECT_EQ(snap.counter("serve.rejected"), 0);
   // Stage latency histograms populated for the one request that ran.
   ASSERT_NE(snap.histogram("serve.latency_ms"), nullptr);
@@ -351,7 +294,6 @@ TEST(ServiceTest, ServesValidRequestAndCounts) {
   const ServiceCounters counters = counters_from_snapshot(snap);
   EXPECT_EQ(counters.submitted, 1);
   EXPECT_EQ(counters.served, 1);
-  EXPECT_EQ(counters.degraded, 0);
   EXPECT_EQ(counters.rejected, 0);
 }
 
@@ -360,7 +302,7 @@ TEST(ServiceTest, RejectsInvalidInputsAtAdmission) {
   ServeHarness h;
   ServeConfig sc;
   sc.num_workers = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   EXPECT_EQ(service.ground(h.request("")).status.code,
             StatusCode::kInvalidInput);
@@ -395,7 +337,8 @@ TEST(ServiceTest, BoundedQueueRejectsWithOverloaded) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.queue_capacity = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   // First request occupies the single worker (slow forward); give it time
   // to be dequeued so the queue is empty again.
@@ -427,7 +370,7 @@ TEST(ServiceTest, DeadlineCheckedAtEnqueue) {
   ServeHarness h;
   ServeConfig sc;
   sc.num_workers = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   GroundRequest expired = h.request();
   expired.deadline_at =
@@ -449,7 +392,8 @@ TEST(ServiceTest, DeadlineCheckedAtDequeueWhenStarvedInQueue) {
 
   ServeConfig sc;
   sc.num_workers = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   // Occupies the worker for ~300ms.
   auto blocker = service.submit(h.request());
@@ -473,7 +417,8 @@ TEST(ServiceTest, SlowForwardPastDeadlineIsTyped) {
 
   ServeConfig sc;
   sc.num_workers = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   GroundRequest slow = h.request();
   slow.deadline_ms = 50;
@@ -492,7 +437,7 @@ TEST(ServiceTest, RetryRecoversFromOneTransientFault) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.max_retries = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   const GroundResponse response = service.ground(h.request());
   EXPECT_TRUE(response.status.ok()) << response.status.to_string();
@@ -501,11 +446,10 @@ TEST(ServiceTest, RetryRecoversFromOneTransientFault) {
 
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.served, 1);
-  EXPECT_EQ(counters.degraded, 0);
   EXPECT_EQ(counters.retries, 1);
 }
 
-TEST(ServiceTest, PoisonedForwardDegradesToBaseline) {
+TEST(ServiceTest, PoisonedForwardFailsTypedAfterRetry) {
   FaultGuard guard;
   ServeHarness h;
   runtime::FaultInjector::Config fc;
@@ -515,17 +459,16 @@ TEST(ServiceTest, PoisonedForwardDegradesToBaseline) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.max_retries = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   const GroundResponse response = service.ground(h.request());
-  EXPECT_EQ(response.status.code, StatusCode::kDegraded);
-  EXPECT_TRUE(response.status.answered());
-  EXPECT_NE(response.status.message.find("baseline"), std::string::npos);
-  expect_box_within(response.box, h.cfg);
+  EXPECT_EQ(response.status.code, StatusCode::kInternalError);
+  EXPECT_FALSE(response.status.answered());
+  EXPECT_EQ(response.retries, 1);
 
   const ServiceCounters counters = service.counters();
-  EXPECT_EQ(counters.served, 1);
-  EXPECT_EQ(counters.degraded, 1);
+  EXPECT_EQ(counters.served, 0);
+  EXPECT_EQ(counters.failed, 1);
 }
 
 TEST(ServiceTest, NoFallbackMeansTypedInternalError) {
@@ -538,11 +481,11 @@ TEST(ServiceTest, NoFallbackMeansTypedInternalError) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.max_retries = 1;
-  InferenceService service(h.model, h.vocab, sc, /*fallback=*/nullptr);
+  InferenceService service(h.model, h.vocab, sc);
 
   const GroundResponse response = service.ground(h.request());
   EXPECT_EQ(response.status.code, StatusCode::kInternalError);
-  EXPECT_NE(response.status.message.find("no baseline fallback"),
+  EXPECT_NE(response.status.message.find("model tier failed"),
             std::string::npos);
   EXPECT_EQ(service.counters().failed, 1);
 }
@@ -559,23 +502,24 @@ TEST(ServiceTest, CircuitBreakerTripsAndReprobes) {
   sc.max_retries = 1;      // 2 attempts per tier entry
   sc.breaker_threshold = 2;
   sc.breaker_cooldown = 3;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   // Sequential requests make the breaker arithmetic deterministic:
   //   r1, r2: tier fails -> consecutive = 2 -> breaker trips (cooldown 3)
-  //   r3..r5: breaker open, straight to baseline
+  //   r3..r5: breaker open, failed fast without a model attempt
   //   r6:     probe fails -> re-trips
   for (int i = 0; i < 6; ++i) {
     const GroundResponse response = service.ground(h.request());
-    EXPECT_EQ(response.status.code, StatusCode::kDegraded)
+    EXPECT_EQ(response.status.code, StatusCode::kInternalError)
         << "request " << i << ": " << response.status.to_string();
-    expect_box_within(response.box, h.cfg);
+    const bool fast = response.status.message == "circuit breaker open";
+    EXPECT_EQ(fast, i >= 2 && i <= 4) << "request " << i;
   }
 
   const ServiceCounters counters =
       counters_from_snapshot(service.metrics_snapshot());
-  EXPECT_EQ(counters.served, 6);
-  EXPECT_EQ(counters.degraded, 6);
+  EXPECT_EQ(counters.served, 0);
+  EXPECT_EQ(counters.failed, 6);
   EXPECT_EQ(counters.breaker_trips, 2);
   // Tier entries: r1, r2, r6 (2 attempts each) = 3 retries counted.
   EXPECT_EQ(counters.retries, 3);
@@ -596,30 +540,30 @@ TEST(ServiceTest, BreakerHalfOpenFailedProbeRetripsImmediately) {
   sc.max_retries = 0;  // one attempt per tier entry: shot accounting is exact
   sc.breaker_threshold = 2;
   sc.breaker_cooldown = 3;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
+  const auto expect_failure = [&](const char* message) {
+    const GroundResponse response = service.ground(h.request());
+    EXPECT_EQ(response.status.code, StatusCode::kInternalError);
+    EXPECT_NE(response.status.message.find(message), std::string::npos)
+        << response.status.to_string();
+  };
   // r1, r2: tier fails -> consecutive = 2 -> trip #1 (cooldown 3).
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(service.ground(h.request()).status.code, StatusCode::kDegraded);
-  }
+  for (int i = 0; i < 2; ++i) expect_failure("model tier failed");
   EXPECT_TRUE(service.health().breaker_open);
-  // r3..r5 ride out the cooldown on the baseline tier.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(service.ground(h.request()).status.code, StatusCode::kDegraded);
-  }
+  // r3..r5 ride out the cooldown, failed fast.
+  for (int i = 0; i < 3; ++i) expect_failure("circuit breaker open");
   // r6 is the half-open probe; it consumes the third failing shot. Because
   // consecutive_failures_ survives the trip, ONE failed probe is >= the
   // threshold again and the breaker must re-trip immediately — not ride
   // through threshold-1 further model failures first.
-  EXPECT_EQ(service.ground(h.request()).status.code, StatusCode::kDegraded);
+  expect_failure("model tier failed");
   EXPECT_TRUE(service.health().breaker_open);
   EXPECT_EQ(service.counters().breaker_trips, 2);
-  // r7..r9: the re-tripped cooldown, still baseline-only (no model
+  // r7..r9: the re-tripped cooldown, still failing fast (no model
   // attempts: the fail shots are exhausted, so any forward would succeed —
-  // a kDegraded answer here proves the breaker really is open again).
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(service.ground(h.request()).status.code, StatusCode::kDegraded);
-  }
+  // a breaker answer here proves the breaker really is open again).
+  for (int i = 0; i < 3; ++i) expect_failure("circuit breaker open");
   // r10: the second probe runs clean and closes the breaker.
   const GroundResponse probe = service.ground(h.request());
   EXPECT_TRUE(probe.status.ok()) << probe.status.to_string();
@@ -632,7 +576,7 @@ TEST(ServiceTest, HealthSnapshotReflectsLifecycle) {
   ServeHarness h;
   ServeConfig sc;
   sc.num_workers = 2;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   HealthSnapshot health = service.health();
   EXPECT_TRUE(health.accepting);
@@ -664,7 +608,8 @@ TEST(ServiceBatchingTest, BacklogIsCoalescedAndEveryRequestAnswered) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.batch_max = 4;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   auto blocker = service.submit(h.request("red circle", 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -697,7 +642,8 @@ TEST(ServiceBatchingTest, BatchMaxOneDisablesCoalescing) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.batch_max = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   auto blocker = service.submit(h.request());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -730,7 +676,8 @@ TEST(ServiceBatchingTest, NearDeadlineRequestRunsSoloNotCoalesced) {
   ServeConfig sc;
   sc.num_workers = 1;
   sc.batch_max = 4;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   // Prime serve.model_ms with one ~250ms sample so its p95 lands in the
   // 204.8..409.6ms bucket — every later slack below ~205ms trips the guard.
@@ -768,7 +715,7 @@ TEST(ServiceBatchingTest, PoisonedElementDegradesOnlyItsOwnRequest) {
   ServeHarness h;
   // Shot 1 (slow): blocks the worker so three requests queue up behind it.
   // Poison shot 1 lands on the blocker's forward; with max_retries = 0 it
-  // degrades to the baseline. Poison shot 2 lands on the coalesced batch
+  // fails typed. Poison shot 2 lands on the coalesced batch
   // forward and corrupts its LAST element only: the first two batch mates
   // must be served from the batch, the third salvaged individually (shots
   // exhausted by then, so its solo forward is clean and returns kOk).
@@ -783,7 +730,8 @@ TEST(ServiceBatchingTest, PoisonedElementDegradesOnlyItsOwnRequest) {
   sc.batch_max = 4;
   sc.max_retries = 0;
   sc.breaker_threshold = 100;  // keep the breaker out of this test
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   auto blocker = service.submit(h.request("red circle", 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -793,7 +741,7 @@ TEST(ServiceBatchingTest, PoisonedElementDegradesOnlyItsOwnRequest) {
   }
 
   const GroundResponse blocked = blocker.get();
-  EXPECT_EQ(blocked.status.code, StatusCode::kDegraded);
+  EXPECT_EQ(blocked.status.code, StatusCode::kInternalError);
   for (auto& future : queued) {
     const GroundResponse response = future.get();
     // Batch mates ride the coalesced forward; the poisoned element is
@@ -804,8 +752,8 @@ TEST(ServiceBatchingTest, PoisonedElementDegradesOnlyItsOwnRequest) {
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.batches_coalesced, 1);
   EXPECT_EQ(counters.batched_requests, 3);
-  EXPECT_EQ(counters.served, 4);
-  EXPECT_EQ(counters.degraded, 1);  // only the blocker
+  EXPECT_EQ(counters.served, 3);
+  EXPECT_EQ(counters.failed, 1);  // only the blocker
 }
 
 // --- concurrency stress under injected faults -------------------------------
@@ -814,8 +762,10 @@ TEST(ServiceStressTest, MixedLoadUnderFaultsLosesNoRequest) {
   FaultGuard guard;
   ServeHarness h;
   runtime::FaultInjector::Config fc;
-  fc.poison_forward_count = 20;
-  fc.fail_forward_count = 20;
+  // Few enough shots that the breaker's fail-fast cooldown cannot swallow
+  // every request the bounded queue admits.
+  fc.poison_forward_count = 4;
+  fc.fail_forward_count = 4;
   runtime::FaultInjector::instance().configure(fc);
 
   ServeConfig sc;
@@ -824,7 +774,7 @@ TEST(ServiceStressTest, MixedLoadUnderFaultsLosesNoRequest) {
   sc.max_retries = 1;
   sc.breaker_threshold = 4;
   sc.breaker_cooldown = 6;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   const char* queries[] = {"red circle", "the large square",
                            "blue thing on the left", "small green triangle"};
@@ -873,7 +823,6 @@ TEST(ServiceStressTest, MixedLoadUnderFaultsLosesNoRequest) {
           const ServiceCounters& c = health.counters;
           const bool coherent =
               c.rejected == c.rejected_invalid + c.rejected_overloaded &&
-              c.degraded <= c.served &&
               c.served + c.rejected + c.deadline_exceeded + c.failed <=
                   c.submitted &&
               c.queue_high_water <= 32 && health.queue_depth <= 32;
@@ -895,7 +844,6 @@ TEST(ServiceStressTest, MixedLoadUnderFaultsLosesNoRequest) {
     const GroundResponse response = future.get();
     switch (response.status.code) {
       case StatusCode::kOk:
-      case StatusCode::kDegraded:
         ++answered;
         expect_box_within(response.box, h.cfg);
         break;
@@ -949,8 +897,8 @@ TEST(ServiceStressTest, MixedLoadUnderFaultsLosesNoRequest) {
                                    counters.rejected_overloaded);
   EXPECT_GE(counters.served, 1);
   EXPECT_GE(counters.rejected_invalid, 1);
-  // The injected faults must have driven real degradations or retries.
-  EXPECT_GE(counters.degraded + counters.retries, 1);
+  // The injected faults must have driven real failures or retries.
+  EXPECT_GE(counters.failed + counters.retries, 1);
 }
 
 }  // namespace

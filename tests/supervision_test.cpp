@@ -22,8 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/matcher.h"
-#include "baseline/proposer.h"
 #include "core/yollo.h"
 #include "runtime/fault.h"
 #include "serve/service.h"
@@ -31,6 +29,7 @@
 #include "tensor/gemm.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 // TSan slows real forward passes ~15x while injected wall-clock delays stay
 // fixed; stretch the latency constants of the timing-sensitive tests so
@@ -81,32 +80,7 @@ struct Harness {
   Rng rng{123};
   core::YolloModel model{cfg, vocab.size(), rng};
 
-  baseline::ProposerConfig pcfg;
-  std::unique_ptr<baseline::RegionProposalNetwork> rpn;
-  std::unique_ptr<baseline::ListenerMatcher> listener;
-  std::unique_ptr<baseline::SpeakerMatcher> speaker;
-  std::unique_ptr<baseline::TwoStagePipeline> pipeline;
-
-  Harness() {
-    model.set_training(false);
-    pcfg.img_h = cfg.img_h;
-    pcfg.img_w = cfg.img_w;
-    pcfg.max_proposals = 8;
-    Rng prng(7);
-    rpn = std::make_unique<baseline::RegionProposalNetwork>(pcfg, prng);
-    rpn->set_training(false);
-    baseline::MatcherConfig mcfg;
-    mcfg.patch = 16;
-    mcfg.emb_dim = 16;
-    mcfg.word_dim = 16;
-    mcfg.vocab_size = vocab.size();
-    listener = std::make_unique<baseline::ListenerMatcher>(mcfg, prng);
-    listener->set_training(false);
-    speaker = std::make_unique<baseline::SpeakerMatcher>(mcfg, prng);
-    speaker->set_training(false);
-    pipeline = std::make_unique<baseline::TwoStagePipeline>(
-        *rpn, *listener, *speaker, baseline::MatchMode::kListener);
-  }
+  Harness() { model.set_training(false); }
 
   Tensor image(uint64_t seed = 5) {
     Rng r(seed);
@@ -129,7 +103,6 @@ void expect_invariant(const ServiceCounters& c) {
   EXPECT_EQ(c.served + c.rejected + c.deadline_exceeded + c.failed +
                 c.cancelled,
             c.submitted);
-  EXPECT_LE(c.degraded, c.served);
   EXPECT_LE(c.rejected_invalid + c.rejected_overloaded + c.rejected_resource,
             c.rejected);
 }
@@ -365,7 +338,8 @@ TEST(SupervisionServiceTest, DeadlineAbortsSlowForwardInFlight) {
   sc.num_workers = 1;
   sc.max_retries = 0;
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   GroundRequest req = h.request();
   req.deadline_ms = 50 * kTimeScale;
@@ -407,7 +381,8 @@ TEST(SupervisionServiceTest, DisabledCancellationRunsTheFullSlowForward) {
   sc.max_retries = 0;
   sc.enable_cancellation = false;  // PR-2 observe-only behaviour
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   GroundRequest req = h.request();
   req.deadline_ms = 50 * kTimeScale;
@@ -439,7 +414,8 @@ TEST(SupervisionServiceTest, CancelTokenAbortsInFlightAndQueued) {
   sc.batch_max = 1;
   sc.max_retries = 0;
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   GroundRequest in_flight = h.request();
   in_flight.cancel = std::make_shared<CancelToken>();
@@ -480,7 +456,7 @@ TEST(SupervisionServiceTest, LateCancelAfterCompletionIsHarmless) {
   Harness h;
   ServeConfig sc;
   sc.num_workers = 1;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   GroundRequest req = h.request();
   req.cancel = std::make_shared<CancelToken>();
@@ -520,7 +496,8 @@ TEST(SupervisionWatchdogTest, KickCancelsAStalledButCancellableWorker) {
   sc.watchdog_stall_intervals = 2;
   sc.watchdog_grace_intervals = 1000;  // never reap in this test
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   const Clock::time_point t0 = Clock::now();
   const GroundResponse response = service.ground(h.request());
@@ -555,7 +532,8 @@ TEST(SupervisionWatchdogTest, WedgedWorkerIsReapedAndReplaced) {
   sc.watchdog_stall_intervals = 1;
   sc.watchdog_grace_intervals = 2;
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
 
   const Clock::time_point t0 = Clock::now();
   const GroundResponse wedged = service.ground(h.request());
@@ -580,27 +558,27 @@ TEST(SupervisionWatchdogTest, WedgedWorkerIsReapedAndReplaced) {
   EXPECT_GE(service.health().workers, 1);
 }
 
-// --- service: pool budget degradation ---------------------------------------
+// --- service: pool budget refusal -------------------------------------------
 
-TEST(SupervisionServiceTest, PoolBudgetDegradesToBaselineTier) {
+TEST(SupervisionServiceTest, PoolBudgetYieldsResourceExhausted) {
   FaultGuard guard;
   Harness h;
   ServeConfig sc;
   sc.num_workers = 1;
   sc.max_retries = 1;
   sc.pool_budget_mb = 1;  // far below the model tier's working set
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
+  // Every attempt is refused by the budget (trim-and-retry included): the
+  // request is shed with the typed status, not turned into a failure.
   const GroundResponse response = service.ground(h.request());
-  // The model tier was refused by the budget; the baseline tier (plain
-  // allocations, no pooled working set of that size) answers degraded.
-  EXPECT_EQ(response.status.code, StatusCode::kDegraded)
+  EXPECT_EQ(response.status.code, StatusCode::kResourceExhausted)
       << response.status.to_string();
 
   const ServiceCounters c = service.counters();
   EXPECT_GE(c.pool_rejected, 1);
-  EXPECT_EQ(c.served, 1);
-  EXPECT_EQ(c.degraded, 1);
+  EXPECT_EQ(c.rejected_resource, 1);
+  EXPECT_EQ(c.failed, 0);
   EXPECT_EQ(c.breaker_trips, 0);  // memory pressure must not trip the breaker
   expect_invariant(c);
 }
@@ -626,7 +604,7 @@ TEST(SupervisionStressTest, MixedCancellationLoadKeepsInvariantCoherent) {
   sc.watchdog_stall_intervals = 3;
   sc.watchdog_grace_intervals = 1000;  // kicks allowed, reaps not needed
   sc.fault_injector = &injector;
-  InferenceService service(h.model, h.vocab, sc, h.pipeline.get());
+  InferenceService service(h.model, h.vocab, sc);
 
   // Concurrent snapshot poller: in every cut, terminal counts never exceed
   // submissions and each subset stays within its superset.
@@ -637,7 +615,6 @@ TEST(SupervisionStressTest, MixedCancellationLoadKeepsInvariantCoherent) {
       EXPECT_LE(c.served + c.rejected + c.deadline_exceeded + c.failed +
                     c.cancelled,
                 c.submitted);
-      EXPECT_LE(c.degraded, c.served);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });

@@ -5,6 +5,7 @@
 #include <functional>
 #include <future>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,23 +79,19 @@ struct ServeScenario {
   int64_t batch_max;    // continuous-batching formation cap
   bool tight_deadline;  // per-request deadline that real queueing can miss
   bool fault;           // a few transient model-tier faults mid-run
-  bool baseline_tier;   // every model forward faults: the two-stage tier
-                        // (or typed errors, when no fallback) answers
 };
 
 inline std::vector<ServeScenario> serve_scenario_table() {
   return {
-      //  name                       warm   bmax  tight  fault  baseline
-      {"cold_b1_loose_clean", false, 1, false, false, false},
-      {"cold_b8_loose_clean", false, 8, false, false, false},
-      {"warm_b1_loose_clean", true, 1, false, false, false},
-      {"warm_b8_loose_clean", true, 8, false, false, false},
-      {"cold_b8_tight_clean", false, 8, true, false, false},
-      {"warm_b8_tight_clean", true, 8, true, false, false},
-      {"cold_b8_loose_faulty", false, 8, false, true, false},
-      {"warm_b8_loose_faulty", true, 8, false, true, false},
-      {"baseline_b1_loose_clean", false, 1, false, false, true},
-      {"baseline_b8_loose_clean", false, 8, false, false, true},
+      //  name                    warm   bmax  tight  fault
+      {"cold_b1_loose_clean", false, 1, false, false},
+      {"cold_b8_loose_clean", false, 8, false, false},
+      {"warm_b1_loose_clean", true, 1, false, false},
+      {"warm_b8_loose_clean", true, 8, false, false},
+      {"cold_b8_tight_clean", false, 8, true, false},
+      {"warm_b8_tight_clean", true, 8, true, false},
+      {"cold_b8_loose_faulty", false, 8, false, true},
+      {"warm_b8_loose_faulty", true, 8, false, true},
   };
 }
 
@@ -102,10 +99,25 @@ struct ServeScenarioOutcome {
   serve::ServiceCounters counters;
   serve::FeatureCache::Stats cache;
   int64_t resolved = 0;  // futures that came back (must equal submissions)
-  int64_t answered = 0;  // kOk + kDegraded responses
+  int64_t answered = 0;  // kOk responses
   int64_t errors = 0;    // typed non-answered responses
   double elapsed_ms = 0.0;
 };
+
+// Block until every worker has finished plan warm-up (the serve.
+// workers_warmed gauge). Timing tests call this first: a worker still
+// compiling plans — slow under sanitizers — would otherwise hold its first
+// request past the test's sleeps and deadlines.
+inline void wait_for_warm(const serve::InferenceService& service,
+                          int64_t workers) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(240);
+  while (service.counters().workers_warmed < workers) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "workers never finished plan warm-up";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 // The five-term accounting invariant, exact once every future has resolved.
 inline void expect_serve_invariant(const serve::ServiceCounters& c) {
@@ -123,18 +135,13 @@ inline void expect_serve_invariant(const serve::ServiceCounters& c) {
 // the process-wide one) so scenario faults cannot leak between tests.
 inline ServeScenarioOutcome run_serve_scenario(
     core::YolloModel& model, const data::Vocab& vocab,
-    baseline::TwoStagePipeline* fallback, const ServeScenario& scenario,
+    const ServeScenario& scenario,
     int64_t requests = 24, int64_t distinct_images = 4,
     int64_t time_scale = 1) {
   using Clock = std::chrono::steady_clock;
 
   runtime::FaultInjector injector;  // declared before the service: workers
                                     // must stop before their injector dies
-  if (scenario.baseline_tier) {
-    runtime::FaultInjector::Config fc;
-    fc.fail_forward_count = requests * 16;  // every attempt, every retry
-    injector.configure(fc);
-  }
 
   serve::ServeConfig cfg;
   cfg.num_workers = 2;
@@ -143,7 +150,7 @@ inline ServeScenarioOutcome run_serve_scenario(
   cfg.feature_cache_mb = scenario.warm_cache ? 16 : 0;
   cfg.max_retries = 1;
   cfg.fault_injector = &injector;
-  serve::InferenceService service(model, vocab, cfg, fallback);
+  serve::InferenceService service(model, vocab, cfg);
 
   const int64_t img_h = service.model_config().img_h;
   const int64_t img_w = service.model_config().img_w;
@@ -165,9 +172,9 @@ inline ServeScenarioOutcome run_serve_scenario(
     }
   }
 
-  if (scenario.fault && !scenario.baseline_tier) {
+  if (scenario.fault) {
     runtime::FaultInjector::Config fc;
-    fc.fail_forward_count = 3;  // transient: retries/degradation absorb it
+    fc.fail_forward_count = 3;  // transient: retries absorb most of it
     injector.configure(fc);
   }
 
@@ -204,13 +211,10 @@ inline ServeScenarioOutcome run_serve_scenario(
   // the accounting invariant is exact.
   EXPECT_EQ(out.resolved, requests);
   expect_serve_invariant(out.counters);
-  // Loose-deadline rows additionally answer everything: nothing expires,
-  // nothing is rejected (capacity == request count), faults degrade rather
-  // than fail. Fault rows need the baseline tier for that guarantee —
-  // without a fallback a twice-faulted forward is a typed kInternalError.
-  if (!scenario.tight_deadline &&
-      (fallback != nullptr ||
-       (!scenario.fault && !scenario.baseline_tier))) {
+  // Clean loose-deadline rows additionally answer everything: nothing
+  // expires and nothing is rejected (capacity == request count). Fault rows
+  // may not — a twice-faulted forward is a typed kInternalError.
+  if (!scenario.tight_deadline && !scenario.fault) {
     EXPECT_EQ(out.answered, requests) << "scenario " << scenario.name;
   }
   return out;
