@@ -5,8 +5,12 @@
 //   predict  planned vs dynamic p50/p95 per image, batch 1 and batch 4
 //   infer    the serve-style forward (long-lived worker PoolScope) planned
 //            vs dynamic, batch 1
-// and reports the memory trade: the plan arenas' resident bytes against the
-// dynamic path's pool outstanding bytes for the same workload.
+//   execute  the bare executor: the batch-1 Program of a once-compiled
+//            set run in a caller-owned arena sized for the whole set
+// and reports the memory trade: the model's arena against the dynamic
+// path's pool outstanding bytes for the same workload, and one shared
+// set's worker arena against the sum of its Programs' arenas (what one
+// arena per Program would hold).
 //
 // The acceptance line (ISSUE 8) is planned predict p50 >= 1.15x faster than
 // the dynamic path in the same binary; "speedup_predict_p50" in the JSON is
@@ -24,6 +28,7 @@
 
 #include "core/yollo.h"
 #include "plan/plan.h"
+#include "tensor/arena.h"
 #include "tensor/pool.h"
 
 namespace yollo {
@@ -121,6 +126,25 @@ int run(const char* json_path) {
     plan::set_enabled(true);
   }
 
+  // Serve-worker layout: one Program set compiled once, executed in one
+  // arena sized to its largest Program.
+  const plan::ProgramSet programs = model.compile_programs(batches[1]);
+  int64_t worker_arena_floats = 0;
+  int64_t arena_sum_bytes = 0;
+  for (const auto& p : programs) {
+    if (p == nullptr) continue;
+    worker_arena_floats = std::max(worker_arena_floats, p->arena_floats());
+    arena_sum_bytes += p->arena_bytes();
+  }
+  LatencyStats execute_b1;
+  int64_t worker_arena_bytes = 0;
+  if (!programs.empty() && programs.front() != nullptr) {
+    plan::Arena arena(worker_arena_floats);
+    worker_arena_bytes = arena.bytes();
+    const plan::Program& b1 = *programs.front();
+    execute_b1 = time_runs(iters, 1, [&] { b1.execute(arena, simg, stok); });
+  }
+
   const double speedup_p50 =
       predict_stats[0].planned.p50 > 0.0
           ? predict_stats[0].dynamic.p50 / predict_stats[0].planned.p50
@@ -156,19 +180,29 @@ int run(const char* json_path) {
       "  \"infer_pooled\": {\n"
       "    \"planned_p50_ms\": %.4f,\n    \"planned_p95_ms\": %.4f,\n"
       "    \"dynamic_p50_ms\": %.4f,\n    \"dynamic_p95_ms\": %.4f\n  },\n"
+      "  \"execute_batch1\": {\n"
+      "    \"p50_ms\": %.4f,\n    \"p95_ms\": %.4f\n  },\n"
       "  \"arena_bytes\": %lld,\n  \"pool_outstanding_bytes\": %lld,\n"
+      "  \"worker_arena_bytes\": %lld,\n  \"program_arena_sum_bytes\": %lld,\n"
       "  \"speedup_predict_p50\": %.3f\n}\n",
       infer_planned.p50, infer_planned.p95, infer_dynamic.p50,
-      infer_dynamic.p95, static_cast<long long>(arena_bytes),
-      static_cast<long long>(pool_bytes), speedup_p50);
+      infer_dynamic.p95, execute_b1.p50, execute_b1.p95,
+      static_cast<long long>(arena_bytes), static_cast<long long>(pool_bytes),
+      static_cast<long long>(worker_arena_bytes),
+      static_cast<long long>(arena_sum_bytes), speedup_p50);
   std::fclose(json);
 
   std::printf(
       "bench_plan: predict b1 planned p50 %.4f ms vs dynamic %.4f ms "
-      "(%.2fx); b4 planned %.4f vs dynamic %.4f; arena %lld B, pool %lld B\n",
+      "(%.2fx); b4 planned %.4f vs dynamic %.4f; execute b1 %.4f ms; "
+      "arena %lld B, pool %lld B; worker arena %lld B vs %lld B summed over "
+      "the set\n",
       predict_stats[0].planned.p50, predict_stats[0].dynamic.p50, speedup_p50,
       predict_stats[1].planned.p50, predict_stats[1].dynamic.p50,
-      static_cast<long long>(arena_bytes), static_cast<long long>(pool_bytes));
+      execute_b1.p50, static_cast<long long>(arena_bytes),
+      static_cast<long long>(pool_bytes),
+      static_cast<long long>(worker_arena_bytes),
+      static_cast<long long>(arena_sum_bytes));
   return 0;
 }
 

@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "plan/plan.h"
 #include "runtime/fault.h"
+#include "tensor/arena.h"
 #include "tensor/exec.h"
 #include "tensor/kernels.h"
 #include "tensor/pool.h"
@@ -175,36 +176,38 @@ YolloModel::ForwardDecode YolloModel::forward_and_decode(
     const Tensor& images, const std::vector<int64_t>& tokens,
     bool apply_fault_hooks, bool capture_features) {
   if (yollo::plan::enabled()) {
-    if (std::shared_ptr<yollo::plan::Plan> p = planned_for(images, tokens)) {
-      yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-      if (g) {
-        // Arena-backed views of the outputs; the plan shared_ptr keeps the
-        // arena alive. Decode happens while the guard is held — another
-        // thread executing this plan would overwrite the arena under us.
+    if (std::shared_ptr<const yollo::plan::Program> p =
+            planned_for(images, tokens)) {
+      PlannedRun run = run_program(*p, images, tokens);
+      if (run) {
+        // Arena-backed views of the outputs. Decode happens while the run
+        // holds the arena — another thread executing would overwrite it.
         Output out;
         out.scores = ag::Variable::constant(Tensor::from_external(
-            g.scores_shape(), const_cast<float*>(g.scores()), p));
+            p->scores_shape(), const_cast<float*>(run.scores), run.arena));
         out.deltas = ag::Variable::constant(Tensor::from_external(
-            g.deltas_shape(), const_cast<float*>(g.deltas()), p));
+            p->deltas_shape(), const_cast<float*>(run.deltas), run.arena));
         ForwardDecode fd = decode_and_scan(out, images.size(3), images.size(2),
                                            apply_fault_hooks);
-        if (capture_features && g.has_features()) {
-          // Clone while the guard is held — releasing it would let another
-          // execution overwrite the feature region under the copy.
+        if (capture_features && run.features != nullptr) {
+          // Clone while the arena is held, for the same reason.
           fd.features =
-              Tensor::from_external(g.features_shape(),
-                                    const_cast<float*>(g.features()), p)
+              Tensor::from_external(p->features_shape(),
+                                    const_cast<float*>(run.features),
+                                    run.arena)
                   .clone();
         }
         return fd;
       }
-      {
-        std::lock_guard<std::mutex> lk(plan_mu_);
-        ++plan_stats_.fallbacks;
+      if (run.busy) {
+        {
+          std::lock_guard<std::mutex> lk(plan_mu_);
+          ++plan_stats_.fallbacks;
+        }
+        static obs::Counter& fallbacks =
+            obs::MetricsRegistry::global().counter("plan.fallbacks");
+        fallbacks.inc();
       }
-      static obs::Counter& fallbacks =
-          obs::MetricsRegistry::global().counter("plan.fallbacks");
-      fallbacks.inc();
     }
   }
   Output out = forward(images, tokens);
@@ -276,10 +279,15 @@ YolloModel::ForwardDecode YolloModel::decode_and_scan(Output& out,
   return fd;
 }
 
-std::shared_ptr<yollo::plan::Plan> YolloModel::build_plan(
+std::shared_ptr<const yollo::plan::Program> YolloModel::record_program(
     const Tensor& images, const std::vector<int64_t>& tokens,
     std::string* why) {
   OBS_SPAN("plan.record");
+  // A recording keeps every intermediate alive until it compiles. Parked in
+  // the caller's pool (a serve worker's lives as long as the worker) those
+  // one-off buffers would stay resident for good; outside it they return
+  // to the allocator.
+  PoolSuspend no_pool;
   yollo::plan::Recorder rec;
   rec.set_tokens(tokens);
   Output out;
@@ -289,17 +297,16 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::build_plan(
     ag::trace::Scope scope(&rec);
     out = forward(images, tokens);
   }
-  // Features ride along as a third plan output so serving can populate the
+  // Features ride along as a third output so serving can populate the
   // feature cache straight from the arena — no second forward, no dynamic
   // fallback just to capture them.
   return rec.compile(out.scores.value(), out.deltas.value(), why,
                      &out.feat.value());
 }
 
-std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
+std::shared_ptr<const yollo::plan::Program> YolloModel::planned_for(
     const Tensor& images, const std::vector<int64_t>& tokens) {
   constexpr size_t kMaxPlanEntries = 16;
-  constexpr int64_t kPlanRetryPeriod = 64;
   static obs::Counter& hits =
       obs::MetricsRegistry::global().counter("plan.cache_hits");
   static obs::Counter& misses =
@@ -325,34 +332,22 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
     it = plan_cache_.emplace(b, PlanEntry{}).first;
   }
   PlanEntry& e = it->second;
-  if (e.plan) {
+  if (e.program) {
     ++plan_stats_.hits;
     hits.inc();
-    return e.plan;
+    return e.program;
   }
-  if (e.building) return nullptr;  // concurrent miss: dynamic, non-blocking
-  if (e.failed) {
-    // Unplannable traces stay failed; budget refusals may clear up, so
-    // retry periodically instead of never.
-    if (++e.misses % kPlanRetryPeriod != 0) return nullptr;
-    e.failed = false;
-  }
+  // Concurrent miss: dynamic, non-blocking. Unplannable traces stay failed.
+  if (e.building || e.failed) return nullptr;
   ++plan_stats_.misses;
   misses.inc();
-  e.plan.reset();  // release any old arena BEFORE building: one budget charge
   e.building = true;
   lk.unlock();
 
-  std::shared_ptr<yollo::plan::Plan> built;
-  bool failed = false;
+  std::shared_ptr<const yollo::plan::Program> built;
   try {
     std::string why;
-    built = build_plan(images, tokens, &why);
-    failed = (built == nullptr);
-  } catch (const PoolBudgetExceeded&) {
-    // Arena refused by the pool budget: degrade to the dynamic path (which
-    // runs inside the budgeted pool) instead of failing the request.
-    failed = true;
+    built = record_program(images, tokens, &why);
   } catch (...) {
     // Cancellation or a fault mid-recording: leave the entry clean so the
     // next request retries the build.
@@ -362,20 +357,57 @@ std::shared_ptr<yollo::plan::Plan> YolloModel::planned_for(
   }
   lk.lock();
   e.building = false;
-  if (failed) {
+  if (!built) {
     e.failed = true;
     return nullptr;
   }
-  e.plan = std::move(built);
+  e.program = std::move(built);
   ++plan_stats_.compiles;
-  int64_t bytes = 0;
-  for (const auto& [key, entry] : plan_cache_) {
-    if (entry.plan) bytes += entry.plan->arena_bytes();
+  if (e.program->arena_floats() > max_program_floats_.load()) {
+    max_program_floats_.store(e.program->arena_floats());
   }
-  obs::MetricsRegistry::global()
-      .gauge("plan.arena_bytes")
-      .set(static_cast<double>(bytes));
-  return e.plan;
+  return e.program;
+}
+
+YolloModel::PlannedRun YolloModel::run_program(
+    const yollo::plan::Program& program, const Tensor& images,
+    const std::vector<int64_t>& tokens) {
+  constexpr int64_t kArenaRetryPeriod = 64;
+  PlannedRun run;
+  run.lock = std::unique_lock<std::mutex>(arena_mu_, std::try_to_lock);
+  if (!run.lock.owns_lock()) {
+    run.busy = true;
+    return run;
+  }
+  if (!program.accepts(images, tokens)) return run;
+  const int64_t need =
+      std::max(program.arena_floats(), max_program_floats_.load());
+  if (!arena_ || arena_->floats() < need) {
+    if (arena_retry_in_ > 0) {
+      --arena_retry_in_;
+      return run;
+    }
+    // Release the old arena BEFORE allocating: one budget charge at a time.
+    arena_.reset();
+    arena_bytes_.store(0, std::memory_order_relaxed);
+    try {
+      // Charges the caller's active pool budget exactly once.
+      arena_ = std::make_shared<Arena>(need);
+    } catch (const PoolBudgetExceeded&) {
+      // Degrade to the dynamic path, which runs inside the budgeted pool.
+      arena_retry_in_ = kArenaRetryPeriod;
+      return run;
+    }
+    arena_bytes_.store(arena_->bytes(), std::memory_order_relaxed);
+  }
+  const yollo::plan::Program::Outputs out =
+      program.execute(*arena_, images, tokens);
+  run.arena = arena_;
+  run.ran = true;
+  run.scores = out.scores;
+  run.deltas = out.deltas;
+  run.features = out.features;
+  return run;
 }
 
 void YolloModel::warm_plan(int64_t batch) {
@@ -387,46 +419,76 @@ void YolloModel::warm_plan(int64_t batch) {
   Tensor images({batch, 3, config_.img_h, config_.img_w});
   std::vector<int64_t> tokens(
       static_cast<size_t>(batch * config_.max_query_len), 0);
-  std::shared_ptr<yollo::plan::Plan> p = planned_for(images, tokens);
-  if (p) {
-    // One throwaway execution warms the GEMM pack scratch and obs rings so
-    // the first real request runs at steady state.
-    yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-    (void)g;
+  if (std::shared_ptr<const yollo::plan::Program> p =
+          planned_for(images, tokens)) {
+    // One throwaway execution sizes the arena and warms the GEMM pack
+    // scratch and obs rings so the first real request runs at steady state.
+    run_program(*p, images, tokens);
+  }
+}
+
+plan::ProgramSet YolloModel::compile_programs(int64_t batch_max) {
+  plan::ProgramSet set;
+  if (!yollo::plan::enabled()) return set;
+  ag::NoGradGuard no_grad;
+  nn::EvalModeGuard eval_mode(*this);
+  for (int64_t b = 1; b <= batch_max; ++b) {
+    const Tensor images({b, 3, config_.img_h, config_.img_w});
+    const std::vector<int64_t> tokens(
+        static_cast<size_t>(b * config_.max_query_len), 0);
+    set.push_back(planned_for(images, tokens));
+  }
+  return set;
+}
+
+void YolloModel::adopt_programs(const plan::ProgramSet& programs) {
+  std::lock_guard<std::mutex> lk(plan_mu_);
+  for (size_t i = 0; i < programs.size(); ++i) {
+    PlanEntry& e = plan_cache_[static_cast<int64_t>(i) + 1];
+    e.program = programs[i];
+    e.failed = programs[i] == nullptr;
+    if (e.program && e.program->arena_floats() > max_program_floats_.load()) {
+      max_program_floats_.store(e.program->arena_floats());
+    }
   }
 }
 
 bool YolloModel::planned(int64_t batch) {
   std::lock_guard<std::mutex> lk(plan_mu_);
   auto it = plan_cache_.find(batch);
-  return it != plan_cache_.end() && it->second.plan != nullptr;
+  return it != plan_cache_.end() && it->second.program != nullptr;
 }
 
 void YolloModel::invalidate_plans() {
   // Model-reload signal: parameter storage may have been rebound, so any
   // cached backbone features derived from the old weights are stale too.
   weights_generation_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lk(plan_mu_);
-  // Reset in place instead of erasing: a concurrent build holds references
-  // to its entry across the cache unlock.
-  for (auto& [key, e] : plan_cache_) {
-    e.plan.reset();
-    e.failed = false;
-    e.misses = 0;
+  {
+    std::lock_guard<std::mutex> lk(plan_mu_);
+    // Reset in place instead of erasing: a concurrent build holds
+    // references to its entry across the cache unlock.
+    for (auto& [key, e] : plan_cache_) {
+      e.program.reset();
+      e.failed = false;
+    }
+    max_program_floats_.store(0);
   }
+  // Blocks behind an in-flight execution; a caller still holding a view
+  // keeps the old arena alive through its own reference.
+  std::lock_guard<std::mutex> lk(arena_mu_);
+  arena_.reset();
+  arena_bytes_.store(0, std::memory_order_relaxed);
+  arena_retry_in_ = 0;
 }
 
 YolloModel::PlanCacheStats YolloModel::plan_cache_stats() {
   std::lock_guard<std::mutex> lk(plan_mu_);
   PlanCacheStats s = plan_stats_;
   s.entries = 0;
-  s.arena_bytes = 0;
   for (const auto& [key, e] : plan_cache_) {
-    if (e.plan) {
-      ++s.entries;
-      s.arena_bytes += e.plan->arena_bytes();
-    }
+    if (e.program) ++s.entries;
   }
+  s.arena_bytes = arena_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -437,15 +499,18 @@ YolloModel::RawForward YolloModel::raw_forward(
   PoolScope pool;
   RawForward rf;
   if (yollo::plan::enabled()) {
-    if (std::shared_ptr<yollo::plan::Plan> p = planned_for(images, tokens)) {
-      yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-      if (g) {
-        // Clone out of the arena while the guard is held.
-        rf.scores = Tensor::from_external(g.scores_shape(),
-                                          const_cast<float*>(g.scores()), p)
+    if (std::shared_ptr<const yollo::plan::Program> p =
+            planned_for(images, tokens)) {
+      PlannedRun run = run_program(*p, images, tokens);
+      if (run) {
+        // Clone out of the arena while it is held.
+        rf.scores = Tensor::from_external(p->scores_shape(),
+                                          const_cast<float*>(run.scores),
+                                          run.arena)
                         .clone();
-        rf.deltas = Tensor::from_external(g.deltas_shape(),
-                                          const_cast<float*>(g.deltas()), p)
+        rf.deltas = Tensor::from_external(p->deltas_shape(),
+                                          const_cast<float*>(run.deltas),
+                                          run.arena)
                         .clone();
         rf.planned = true;
         return rf;
@@ -460,21 +525,16 @@ YolloModel::RawForward YolloModel::raw_forward(
 
 bool YolloModel::run_planned(const Tensor& images,
                              const std::vector<int64_t>& tokens) {
-  std::shared_ptr<yollo::plan::Plan> p;
-  {
-    std::lock_guard<std::mutex> lk(plan_mu_);
-    auto it = plan_cache_.find(images.size(0));
-    if (it != plan_cache_.end()) p = it->second.plan;
-  }
-  if (!p) return false;
-  yollo::plan::Plan::ExecGuard g = p->try_execute(images, tokens);
-  return static_cast<bool>(g);
+  const std::shared_ptr<const yollo::plan::Program> p =
+      cached_program(images.size(0));
+  return p != nullptr && static_cast<bool>(run_program(*p, images, tokens));
 }
 
-std::shared_ptr<yollo::plan::Plan> YolloModel::cached_plan(int64_t batch) {
+std::shared_ptr<const yollo::plan::Program> YolloModel::cached_program(
+    int64_t batch) {
   std::lock_guard<std::mutex> lk(plan_mu_);
   auto it = plan_cache_.find(batch);
-  return it != plan_cache_.end() ? it->second.plan : nullptr;
+  return it != plan_cache_.end() ? it->second.program : nullptr;
 }
 
 std::vector<vision::Box> YolloModel::predict(

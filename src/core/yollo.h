@@ -19,9 +19,13 @@
 #include "nn/layers.h"
 #include "vision/backbone.h"
 
-namespace yollo::plan {
-class Plan;
+namespace yollo {
+class Arena;
 }
+namespace yollo::plan {
+class Program;
+using ProgramSet = std::vector<std::shared_ptr<const Program>>;
+}  // namespace yollo::plan
 
 namespace yollo::core {
 
@@ -163,20 +167,23 @@ class YolloModel : public nn::Module {
   const std::vector<vision::Box>& anchors() const { return head_.anchors(); }
 
   // --- static forward plans (DESIGN.md §14) --------------------------------
-  // predict()/infer() route through a per-batch-size compiled plan when
-  // yollo::plan::enabled() (YOLLO_PLAN=0 disables). Plans are recorded
-  // lazily on first use; warm_plan() builds and runs one eagerly so serving
-  // workers take no compile hit on their first real request. Charges the
-  // caller's active pool budget for the arena; on PoolBudgetExceeded the
-  // entry is marked failed and execution degrades to the dynamic path.
+  // predict()/infer() route through a per-batch-size compiled Program when
+  // yollo::plan::enabled() (YOLLO_PLAN=0 disables), executed in this
+  // model's one Arena. Programs are recorded lazily on first use (outside
+  // any storage pool) unless adopt_programs() installed them; the arena is
+  // sized to the largest cached Program and charged to the caller's active
+  // pool budget when it is (re)allocated — on PoolBudgetExceeded the
+  // forward degrades to the dynamic path. warm_plan() compiles (if needed)
+  // and runs one Program eagerly so serving workers take no compile or
+  // arena hit on their first real request.
   void warm_plan(int64_t batch);
 
-  // True when a plan for this batch size is cached and ready.
+  // True when a Program for this batch size is cached and ready.
   bool planned(int64_t batch);
 
-  // Drop every cached plan (releases the arenas and their budget charges).
+  // Drop every cached Program and the arena (releasing its budget charge).
   // Needed when parameter *storage* is replaced (pointer-level rebinding);
-  // plain in-place updates flow into cached plans automatically.
+  // plain in-place updates flow into cached Programs automatically.
   void invalidate_plans();
 
   struct PlanCacheStats {
@@ -184,17 +191,30 @@ class YolloModel : public nn::Module {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t compiles = 0;
-    int64_t fallbacks = 0;  // plan existed but was busy / shape-mismatched
-    int64_t arena_bytes = 0;
+    int64_t fallbacks = 0;  // Program existed but the arena was busy
+    int64_t arena_bytes = 0;  // the one arena every Program runs in
   };
   PlanCacheStats plan_cache_stats();
+
+  // Record and compile one Program per batch size 1..batch_max on the
+  // calling thread (through this model's cache, so sizes already cached
+  // are reused). Recording runs outside any storage pool: its temporaries
+  // go back to the allocator. Null entries were unplannable. The Programs
+  // bind this model's parameter storage and keep it alive.
+  plan::ProgramSet compile_programs(int64_t batch_max);
+
+  // Serve from Programs compiled on another model with the same config and
+  // weights: each non-null entry becomes this model's cached Program for
+  // its batch size, and a null entry marks that size unplannable. Compiles
+  // nothing and allocates no arena.
+  void adopt_programs(const plan::ProgramSet& programs);
 
   // Test hooks. raw_forward runs the same guarded forward predict() runs
   // and returns the raw score/delta tensors (cloned out of the arena on the
   // planned path) plus which path executed — the bitwise plan-vs-dynamic
-  // tests diff these. run_planned executes an already-cached plan with no
-  // decode and no output wrapping (the zero-allocation probe); returns
-  // false when no plan is cached or it was busy.
+  // tests diff these. run_planned executes an already-cached Program with
+  // no decode and no output wrapping (the zero-allocation probe); returns
+  // false when no Program is cached or the arena was busy.
   struct RawForward {
     Tensor scores;
     Tensor deltas;
@@ -204,9 +224,9 @@ class YolloModel : public nn::Module {
                          const std::vector<int64_t>& tokens);
   bool run_planned(const Tensor& images, const std::vector<int64_t>& tokens);
 
-  // The cached plan for a batch size (nullptr when none): arena-layout
+  // The cached Program for a batch size (nullptr when none): arena-layout
   // introspection for tests and diagnostics.
-  std::shared_ptr<yollo::plan::Plan> cached_plan(int64_t batch);
+  std::shared_ptr<const plan::Program> cached_program(int64_t batch);
 
  private:
   // Shared forward-and-decode core for predict() and infer(): one place
@@ -236,23 +256,52 @@ class YolloModel : public nn::Module {
   // Plan cache (keyed by batch size; image dims and query length are fixed
   // by the config). `building` makes concurrent misses fall back to the
   // dynamic path instead of blocking behind the recording thread; `failed`
-  // entries retry every kPlanRetryPeriod misses in case budget freed up.
+  // entries (unplannable traces) stay on the dynamic path until
+  // invalidate_plans().
   struct PlanEntry {
-    std::shared_ptr<yollo::plan::Plan> plan;
+    std::shared_ptr<const plan::Program> program;
     bool failed = false;
     bool building = false;
-    int64_t misses = 0;
   };
-  std::shared_ptr<yollo::plan::Plan> planned_for(
+  std::shared_ptr<const plan::Program> planned_for(
       const Tensor& images, const std::vector<int64_t>& tokens);
-  std::shared_ptr<yollo::plan::Plan> build_plan(
+  std::shared_ptr<const plan::Program> record_program(
       const Tensor& images, const std::vector<int64_t>& tokens,
       std::string* why);
+
+  // One planned execution, holding the arena until the caller has read the
+  // outputs (another thread executing would overwrite them). Falsy when the
+  // arena was busy (`busy`), the inputs did not match, or the budget refused
+  // the arena.
+  struct PlannedRun {
+    std::unique_lock<std::mutex> lock;
+    std::shared_ptr<Arena> arena;  // keepalive for arena-backed views
+    const float* scores = nullptr;
+    const float* deltas = nullptr;
+    const float* features = nullptr;
+    bool ran = false;
+    bool busy = false;
+    explicit operator bool() const { return ran; }
+  };
+  PlannedRun run_program(const plan::Program& program, const Tensor& images,
+                         const std::vector<int64_t>& tokens);
 
   std::mutex plan_mu_;
   std::map<int64_t, PlanEntry> plan_cache_;
   PlanCacheStats plan_stats_;  // guarded by plan_mu_ (entries/arena_bytes
                                // recomputed on read)
+
+  // The execution arena (guarded by arena_mu_, taken with try_lock so a
+  // concurrent caller runs dynamically instead of waiting). After a budget
+  // refusal the next `arena_retry_in_` planned forwards run dynamically
+  // before the allocation is tried again.
+  std::mutex arena_mu_;
+  std::shared_ptr<Arena> arena_;
+  int64_t arena_retry_in_ = 0;
+  std::atomic<int64_t> arena_bytes_{0};
+  // Largest arena_floats() of any cached Program (written under plan_mu_):
+  // the arena is sized to it, so one allocation runs every cached size.
+  std::atomic<int64_t> max_program_floats_{0};
 
   std::atomic<uint64_t> weights_generation_{0};
 

@@ -1,11 +1,12 @@
-// Plan compilation (fusion, liveness, arena assignment, pointer resolution)
-// and the zero-allocation executor.
+// Program compilation (fusion, liveness, arena assignment, operand
+// resolution) and the zero-allocation executor.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -26,6 +27,8 @@ std::atomic<int> g_enabled{-1};  // -1 = read YOLLO_PLAN on first query
 
 constexpr int kMaxEltStages = 16;
 constexpr int kMaxEltArgs = 16;
+// Operands per op: the executor resolves them into a stack array.
+constexpr size_t kMaxOpArgs = 16;
 constexpr int64_t kAlignFloats = 16;  // 64-byte lines
 constexpr int64_t kEltGrain = 32768;  // the eager elementwise grain
 
@@ -40,12 +43,13 @@ int64_t prod(const Shape& s, size_t lo, size_t hi) {
 }
 
 // Apply an op's stage program to output elements [lo, hi) of one prefix
-// block. `base` is the block's first output element; `offs` are per-arg
-// element offsets for this block (null means all zero). Per element the
-// stages run in recorded op order, so every float operation matches the
-// eager path's op-at-a-time execution exactly.
-void apply_stages(const Op& op, const int64_t* offs, float* base, int64_t lo,
-                  int64_t hi) {
+// block. `in` are the op's resolved operands, `base` is the block's first
+// output element; `offs` are per-arg element offsets for this block (null
+// means all zero). Per element the stages run in recorded op order, so
+// every float operation matches the eager path's op-at-a-time execution
+// exactly.
+void apply_stages(const Op& op, const float* const* in, const int64_t* offs,
+                  float* base, int64_t lo, int64_t hi) {
   for (const EltStage& st : op.stages) {
     float* acc = base;
     switch (st.code) {
@@ -57,7 +61,7 @@ void apply_stages(const Op& op, const int64_t* offs, float* base, int64_t lo,
       case EltStage::kDiv:
       case EltStage::kRDiv: {
         const size_t a = static_cast<size_t>(st.operand);
-        const float* x = op.in_ptr[a] + (offs != nullptr ? offs[a] : 0);
+        const float* x = in[a] + (offs != nullptr ? offs[a] : 0);
         const bool bc = op.elt_arg_bcast[a] != 0;
         switch (st.code) {
           case EltStage::kLoad:
@@ -160,12 +164,14 @@ void set_enabled(bool on) {
 
 // --- executor ----------------------------------------------------------------
 
-void Plan::run_eltwise(const Op& op) const {
+namespace {
+
+void run_eltwise(const Op& op, const float* const* in, float* out) {
   if (op.elt_prefix == 1) {
     // Fully collapsed: one contiguous run, chunked like the eager
     // elementwise kernels (chunking cannot change per-element results).
     parallel_for(0, op.elt_run, kEltGrain, [&](int64_t lo, int64_t hi) {
-      apply_stages(op, nullptr, op.out_ptr, lo, hi);
+      apply_stages(op, in, nullptr, out, lo, hi);
     });
     return;
   }
@@ -184,136 +190,116 @@ void Plan::run_eltwise(const Op& op) const {
           offs[a] += c * op.elt_prefix_strides[a * nd + d];
         }
       }
-      apply_stages(op, offs, op.out_ptr + p * op.elt_run, 0, op.elt_run);
+      apply_stages(op, in, offs, out + p * op.elt_run, 0, op.elt_run);
     }
   });
 }
 
-void Plan::execute_locked(const Tensor& images,
-                          const std::vector<int64_t>& tokens) {
+}  // namespace
+
+ArenaTooSmall::ArenaTooSmall(int64_t required, int64_t have)
+    : std::runtime_error("plan arena too small: program needs " +
+                         std::to_string(required) + " bytes, arena has " +
+                         std::to_string(have)),
+      required_bytes(required),
+      arena_bytes(have) {}
+
+bool Program::accepts(const Tensor& images,
+                      const std::vector<int64_t>& tokens) const {
+  return images.ndim() == 4 && images.size(0) == batch_ &&
+         images.size(2) == img_h_ && images.size(3) == img_w_ &&
+         static_cast<int64_t>(tokens.size()) == tokens_count_;
+}
+
+Program::Outputs Program::execute(Arena& arena, const Tensor& images,
+                                  const std::vector<int64_t>& tokens) const {
+  if (arena.floats() < arena_floats_) {
+    throw ArenaTooSmall(arena_bytes(), arena.bytes());
+  }
+  if (!accepts(images, tokens)) {
+    throw std::invalid_argument(
+        "plan: inputs do not match the recorded batch geometry");
+  }
   OBS_SPAN("plan.execute");
+  static obs::Counter& executions =
+      obs::MetricsRegistry::global().counter("plan.executions");
+  executions.inc();
   ExecContext* ctx = ExecContext::current();
+  float* base = arena.base();
   // Prologue: refill the input slots. Identical fills to the dynamic
   // forward (the model calls the same kernels).
-  if (coords_ptr_ != nullptr) {
-    kernels::fill_coord_channels(images.data(), coords_ptr_, batch_, img_h_,
-                                 img_w_);
+  if (coords_off_ >= 0) {
+    kernels::fill_coord_channels(images.data(), base + coords_off_, batch_,
+                                 img_h_, img_w_);
   }
-  if (mask_ptr_ != nullptr) {
+  if (mask_off_ >= 0) {
     kernels::fill_pair_mask(tokens.data(), batch_, mask_m_, mask_n_,
-                            mask_ptr_);
+                            base + mask_off_);
   }
+  const float* in[kMaxOpArgs] = {};
   for (const Op& op : ops_) {
     if (ctx != nullptr) ctx->throw_if_cancelled();
+    for (size_t a = 0; a < op.args.size(); ++a) {
+      in[a] = op.arg_off[a] < 0 ? op.ext_ptr[a] : base + op.arg_off[a];
+    }
+    float* out = base + op.out_off;
     switch (op.kind) {
       case OpKind::kEltwise:
-        run_eltwise(op);
+        run_eltwise(op, in, out);
         break;
       case OpKind::kPermute:
-        kernels::permute_into(op.in_ptr[0], op.out_ptr,
+        kernels::permute_into(in[0], out,
                               static_cast<int64_t>(op.perm_out_shape.size()),
                               op.perm_out_shape.data(), op.perm_strides.data(),
                               op.numel);
         break;
       case OpKind::kCopyRows:
-        kernels::copy_rows(op.in_ptr[0], op.cp_src_off, op.cp_src_stride,
-                           op.out_ptr, 0, op.cp_run, op.cp_rows, op.cp_run);
+        kernels::copy_rows(in[0], op.cp_src_off, op.cp_src_stride, out, 0,
+                           op.cp_run, op.cp_rows, op.cp_run);
         break;
       case OpKind::kConcat:
         for (const ConcatPart& p : op.parts) {
-          kernels::copy_rows(op.in_ptr[static_cast<size_t>(p.arg)], 0, p.run,
-                             op.out_ptr, p.dst_off, op.cat_dst_stride,
-                             op.cat_rows, p.run);
+          kernels::copy_rows(in[p.arg], 0, p.run, out, p.dst_off,
+                             op.cat_dst_stride, op.cat_rows, p.run);
         }
         break;
       case OpKind::kGather:
-        kernels::gather_rows_into(op.in_ptr[0], op.g_extent, op.g_inner,
-                                  tokens.data(), op.g_count, op.out_ptr);
+        kernels::gather_rows_into(in[0], op.g_extent, op.g_inner,
+                                  tokens.data(), op.g_count, out);
         break;
       case OpKind::kGemm: {
         GemmEpilogue ep;
-        ep.bias = op.bias_arg >= 0
-                      ? op.in_ptr[static_cast<size_t>(op.bias_arg)]
-                      : nullptr;
+        ep.bias = op.bias_arg >= 0 ? in[op.bias_arg] : nullptr;
         ep.relu = op.relu;
-        gemm(op.trans_a, op.trans_b, op.m, op.n, op.k, op.in_ptr[0],
-             op.in_ptr[1], op.out_ptr, ep);
+        gemm(op.trans_a, op.trans_b, op.m, op.n, op.k, in[0], in[1], out, ep);
         break;
       }
       case OpKind::kBatchedGemm:
         batched_gemm(op.trans_a, op.trans_b, op.batch, op.m, op.n, op.k,
-                     op.in_ptr[0], op.a_stride, op.in_ptr[1], op.b_stride,
-                     op.out_ptr, op.c_stride);
+                     in[0], op.a_stride, in[1], op.b_stride, out,
+                     op.c_stride);
         break;
       case OpKind::kSumAxis:
-        kernels::sum_axis_into(op.in_ptr[0], op.out_ptr, op.outer, op.extent,
-                               op.inner);
+        kernels::sum_axis_into(in[0], out, op.outer, op.extent, op.inner);
         break;
       case OpKind::kSoftmax:
-        kernels::softmax_into(op.in_ptr[0], op.out_ptr, op.outer, op.extent,
-                              op.inner);
+        kernels::softmax_into(in[0], out, op.outer, op.extent, op.inner);
         break;
       case OpKind::kConv2d:
-        // The cols workspace is an arena slot; in_ptr is const-qualified
-        // only because most args are read-only.
-        conv2d_forward_into(
-            op.in_ptr[0], op.cn, op.ch, op.cw, op.in_ptr[1],
-            op.bias_arg >= 0 ? op.in_ptr[static_cast<size_t>(op.bias_arg)]
-                             : nullptr,
-            op.conv,
-            const_cast<float*>(op.in_ptr[static_cast<size_t>(op.cols_arg)]),
-            op.out_ptr);
+        // The cols workspace is an arena slot; operands are const-qualified
+        // only because most of them are read-only.
+        conv2d_forward_into(in[0], op.cn, op.ch, op.cw, in[1],
+                            op.bias_arg >= 0 ? in[op.bias_arg] : nullptr,
+                            op.conv, const_cast<float*>(in[op.cols_arg]),
+                            out);
         break;
     }
   }
+  return Outputs{base + scores_off_, base + deltas_off_,
+                 feat_off_ >= 0 ? base + feat_off_ : nullptr};
 }
 
-Plan::ExecGuard Plan::try_execute(const Tensor& images,
-                                  const std::vector<int64_t>& tokens) {
-  std::unique_lock<std::mutex> lk(exec_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return {};
-  if (images.ndim() != 4 || images.size(0) != batch_ ||
-      images.size(2) != img_h_ || images.size(3) != img_w_ ||
-      static_cast<int64_t>(tokens.size()) != tokens_count_) {
-    return {};
-  }
-  execute_locked(images, tokens);
-  return ExecGuard(this, std::move(lk));
-}
-
-const float* Plan::ExecGuard::scores() const {
-  return plan_->arena_->base() +
-         plan_->slots_[static_cast<size_t>(plan_->scores_slot_)].offset;
-}
-
-const float* Plan::ExecGuard::deltas() const {
-  return plan_->arena_->base() +
-         plan_->slots_[static_cast<size_t>(plan_->deltas_slot_)].offset;
-}
-
-const Shape& Plan::ExecGuard::scores_shape() const {
-  return plan_->scores_shape_;
-}
-
-const Shape& Plan::ExecGuard::deltas_shape() const {
-  return plan_->deltas_shape_;
-}
-
-bool Plan::ExecGuard::has_features() const {
-  return plan_ != nullptr && plan_->feat_slot_ >= 0;
-}
-
-const float* Plan::ExecGuard::features() const {
-  if (plan_->feat_slot_ < 0) return nullptr;
-  return plan_->arena_->base() +
-         plan_->slots_[static_cast<size_t>(plan_->feat_slot_)].offset;
-}
-
-const Shape& Plan::ExecGuard::features_shape() const {
-  return plan_->feat_shape_;
-}
-
-std::vector<Plan::SlotExtent> Plan::arena_layout() const {
+std::vector<Program::SlotExtent> Program::arena_layout() const {
   std::vector<SlotExtent> out;
   for (const Slot& s : slots_) {
     if (s.external || s.offset < 0) continue;
@@ -324,12 +310,12 @@ std::vector<Plan::SlotExtent> Plan::arena_layout() const {
 
 // --- compilation -------------------------------------------------------------
 
-std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
-                                        const Tensor& deltas,
-                                        std::string* why,
-                                        const Tensor* features) {
+std::shared_ptr<const Program> Recorder::compile(const Tensor& scores,
+                                                 const Tensor& deltas,
+                                                 std::string* why,
+                                                 const Tensor* features) {
   OBS_SPAN("plan.compile");
-  auto fail = [&](const std::string& r) -> std::shared_ptr<Plan> {
+  auto fail = [&](const std::string& r) -> std::shared_ptr<const Program> {
     if (why != nullptr) *why = r;
     return nullptr;
   };
@@ -486,39 +472,45 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
     std::reverse(kept.begin(), kept.end());
     final_ops = std::move(kept);
   }
+  for (const Op& op : final_ops) {
+    if (op.args.size() > kMaxOpArgs) return fail("op has too many operands");
+  }
 
-  // --- assemble the plan -----------------------------------------------------
-  std::shared_ptr<Plan> plan(new Plan());
-  plan->ops_ = std::move(final_ops);
-  plan->slots_.resize(n_slots);
+  // --- assemble the program --------------------------------------------------
+  std::shared_ptr<Program> prog(new Program());
+  prog->ops_ = std::move(final_ops);
+  prog->slots_.resize(n_slots);
+  // Bind only the external storage a kept op reads: the program keeps its
+  // bindings alive for as long as it is shared.
+  std::vector<uint8_t> referenced(n_slots, 0);
+  for (const Op& op : prog->ops_) {
+    for (int32_t a : op.args) referenced[static_cast<size_t>(a)] = 1;
+  }
   for (size_t s = 0; s < n_slots; ++s) {
-    Slot& ps = plan->slots_[s];
+    Slot& ps = prog->slots_[s];
     ps.shape = slots_[s].shape;
     ps.numel = yollo::numel(ps.shape);
     ps.external = slots_[s].external;
     ps.is_input = slots_[s].is_input;
-    if (ps.external) ps.bound = slots_[s].held;
+    if (ps.external && referenced[s]) ps.bound = slots_[s].held;
   }
-  plan->slots_[static_cast<size_t>(scores_slot)].is_output = true;
-  plan->slots_[static_cast<size_t>(deltas_slot)].is_output = true;
-  plan->scores_slot_ = scores_slot;
-  plan->deltas_slot_ = deltas_slot;
-  plan->scores_shape_ = scores.shape();
-  plan->deltas_shape_ = deltas.shape();
+  prog->slots_[static_cast<size_t>(scores_slot)].is_output = true;
+  prog->slots_[static_cast<size_t>(deltas_slot)].is_output = true;
+  prog->scores_shape_ = scores.shape();
+  prog->deltas_shape_ = deltas.shape();
   if (feat_slot >= 0) {
-    plan->slots_[static_cast<size_t>(feat_slot)].is_output = true;
-    plan->feat_slot_ = feat_slot;
-    plan->feat_shape_ = features->shape();
+    prog->slots_[static_cast<size_t>(feat_slot)].is_output = true;
+    prog->feat_shape_ = features->shape();
   }
 
   // --- liveness --------------------------------------------------------------
-  const int32_t num_ops = static_cast<int32_t>(plan->ops_.size());
+  const int32_t num_ops = static_cast<int32_t>(prog->ops_.size());
   std::vector<int32_t> first_use(n_slots, -1);
   for (int32_t i = 0; i < num_ops; ++i) {
-    Op& op = plan->ops_[static_cast<size_t>(i)];
-    plan->slots_[static_cast<size_t>(op.out)].def = i;
+    Op& op = prog->ops_[static_cast<size_t>(i)];
+    prog->slots_[static_cast<size_t>(op.out)].def = i;
     for (int32_t a : op.args) {
-      Slot& s = plan->slots_[static_cast<size_t>(a)];
+      Slot& s = prog->slots_[static_cast<size_t>(a)];
       s.last_use = std::max(s.last_use, i);
       if (first_use[static_cast<size_t>(a)] < 0) {
         first_use[static_cast<size_t>(a)] = i;
@@ -526,7 +518,7 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
     }
   }
   for (size_t s = 0; s < n_slots; ++s) {
-    Slot& ps = plan->slots_[s];
+    Slot& ps = prog->slots_[s];
     if (!ps.external && !ps.is_input && ps.def < 0 && ps.last_use >= 0) {
       // A workspace slot (conv im2col): live only across its using op.
       ps.def = first_use[s];
@@ -537,14 +529,14 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
   // --- arena assignment (first-fit over sorted live intervals) ---------------
   std::vector<int32_t> order;
   for (size_t s = 0; s < n_slots; ++s) {
-    const Slot& ps = plan->slots_[s];
+    const Slot& ps = prog->slots_[s];
     if (ps.external) continue;
     if (ps.last_use < 0 && !ps.is_output) continue;  // dead (fused away)
     order.push_back(static_cast<int32_t>(s));
   }
   std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    const Slot& sa = plan->slots_[static_cast<size_t>(a)];
-    const Slot& sb = plan->slots_[static_cast<size_t>(b)];
+    const Slot& sa = prog->slots_[static_cast<size_t>(a)];
+    const Slot& sb = prog->slots_[static_cast<size_t>(b)];
     const int32_t da = sa.is_input ? -1 : sa.def;
     const int32_t db = sb.is_input ? -1 : sb.def;
     if (da != db) return da < db;
@@ -559,7 +551,7 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
   std::vector<Placed> overlap;
   int64_t total = 0;
   for (int32_t id : order) {
-    Slot& s = plan->slots_[static_cast<size_t>(id)];
+    Slot& s = prog->slots_[static_cast<size_t>(id)];
     const int32_t lo = s.is_input ? -1 : s.def;
     const int32_t hi = s.last_use;
     const int64_t sz = std::max<int64_t>(align_up(s.numel), kAlignFloats);
@@ -579,23 +571,28 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
     total = std::max(total, off + sz);
   }
 
-  // Charges the caller's pool budget exactly once; PoolBudgetExceeded
-  // propagates to the plan cache, which degrades to the dynamic path.
-  plan->arena_ = std::make_unique<Arena>(total);
-  float* base = plan->arena_->base();
+  // The arena itself belongs to whoever executes the program.
+  prog->arena_floats_ = total;
 
-  // --- pointer resolution ----------------------------------------------------
-  for (Op& op : plan->ops_) {
-    op.in_ptr.resize(op.args.size());
+  // --- operand resolution ----------------------------------------------------
+  for (Op& op : prog->ops_) {
+    op.arg_off.resize(op.args.size());
+    op.ext_ptr.resize(op.args.size());
     for (size_t a = 0; a < op.args.size(); ++a) {
-      const Slot& s = plan->slots_[static_cast<size_t>(op.args[a])];
-      op.in_ptr[a] = s.external ? s.bound.data() : base + s.offset;
+      const Slot& s = prog->slots_[static_cast<size_t>(op.args[a])];
+      op.arg_off[a] = s.external ? -1 : s.offset;
+      op.ext_ptr[a] = s.external ? s.bound.data() : nullptr;
     }
-    op.out_ptr = base + plan->slots_[static_cast<size_t>(op.out)].offset;
+    op.out_off = prog->slots_[static_cast<size_t>(op.out)].offset;
+  }
+  prog->scores_off_ = prog->slots_[static_cast<size_t>(scores_slot)].offset;
+  prog->deltas_off_ = prog->slots_[static_cast<size_t>(deltas_slot)].offset;
+  if (feat_slot >= 0) {
+    prog->feat_off_ = prog->slots_[static_cast<size_t>(feat_slot)].offset;
   }
 
   // --- elementwise geometry --------------------------------------------------
-  for (Op& op : plan->ops_) {
+  for (Op& op : prog->ops_) {
     if (op.kind != OpKind::kEltwise) continue;
     const Shape& os = op.out_shape;
     const size_t rank = os.size();
@@ -644,32 +641,31 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
 
   // --- input bindings --------------------------------------------------------
   for (size_t s = 0; s < n_slots; ++s) {
-    const Slot& ps = plan->slots_[s];
+    const Slot& ps = prog->slots_[s];
     if (!ps.is_input) continue;
     const char* name = slots_[s].input_name;
-    float* ptr = base + ps.offset;
     if (name != nullptr && std::strcmp(name, "with_coords") == 0) {
-      plan->coords_ptr_ = ptr;
-      plan->batch_ = ps.shape[0];
-      plan->img_h_ = ps.shape[2];
-      plan->img_w_ = ps.shape[3];
+      prog->coords_off_ = ps.offset;
+      prog->batch_ = ps.shape[0];
+      prog->img_h_ = ps.shape[2];
+      prog->img_w_ = ps.shape[3];
     } else if (name != nullptr && std::strcmp(name, "pair_mask") == 0) {
-      plan->mask_ptr_ = ptr;
+      prog->mask_off_ = ps.offset;
     }
   }
-  if (plan->coords_ptr_ == nullptr) {
+  if (prog->coords_off_ < 0) {
     return fail("missing with_coords input binding");
   }
   if (!have_tokens_) return fail("no token stream recorded");
-  plan->tokens_count_ = static_cast<int64_t>(tokens_.size());
-  if (plan->mask_ptr_ != nullptr) {
+  prog->tokens_count_ = static_cast<int64_t>(tokens_.size());
+  if (prog->mask_off_ >= 0) {
     // Mask geometry: [b, m+n, m+n] with n words per batch row.
     for (size_t s = 0; s < n_slots; ++s) {
-      if (plan->slots_[s].is_input && slots_[s].input_name != nullptr &&
+      if (prog->slots_[s].is_input && slots_[s].input_name != nullptr &&
           std::strcmp(slots_[s].input_name, "pair_mask") == 0) {
-        const int64_t kk = plan->slots_[s].shape[1];
-        plan->mask_n_ = plan->tokens_count_ / plan->batch_;
-        plan->mask_m_ = kk - plan->mask_n_;
+        const int64_t kk = prog->slots_[s].shape[1];
+        prog->mask_n_ = prog->tokens_count_ / prog->batch_;
+        prog->mask_m_ = kk - prog->mask_n_;
         break;
       }
     }
@@ -678,7 +674,7 @@ std::shared_ptr<Plan> Recorder::compile(const Tensor& scores,
   static obs::Counter& compiles =
       obs::MetricsRegistry::global().counter("plan.compiles");
   compiles.inc();
-  return plan;
+  return prog;
 }
 
 }  // namespace yollo::plan

@@ -1,14 +1,18 @@
 // yollo::plan — static forward-plan compiler with arena memory planning
 // (DESIGN.md §14).
 //
-// A Plan is the grad-free forward of one (model, batch-size) pair recorded
+// A Program is the grad-free forward of one (model, batch-size) pair recorded
 // once and frozen: a flat, topologically ordered op list with pre-resolved
 // shapes, pre-bound parameter storage, pre-resolved kernel geometry (GEMM
 // dispatch, fused linear epilogues, collapsed broadcast loops) and every
-// intermediate assigned a fixed offset into a single arena allocation by
-// liveness analysis. Steady-state planned forwards therefore perform zero
-// heap allocations and zero shape/dispatch work: the executor is one loop
-// over raw-pointer kernel calls.
+// intermediate assigned a fixed *offset* by liveness analysis. A Program is
+// immutable once compiled, so one instance is shared by every thread that
+// runs it. The mutable half is an Arena (tensor/arena.h): one contiguous
+// allocation the caller owns and hands to Program::execute. An arena at least
+// as large as a Program's arena_floats() runs it; one arena sized to the
+// largest Program of a set runs every Program of that set. Steady-state
+// executions therefore perform zero heap allocations and zero shape/dispatch
+// work: the executor is one loop over raw-pointer kernel calls.
 //
 // Correctness contract: planned execution is bitwise identical to the
 // dynamic eager path at the same inputs and thread count. This is enforced
@@ -19,14 +23,13 @@
 //
 // Recording is fail-closed: any op the recorder has no structural record of
 // (see autograd/trace.h) marks the trace unplannable and the caller keeps
-// the dynamic path. Arena construction charges the active PoolScope budget
-// exactly once (tensor/arena.h); a refused charge surfaces as
-// PoolBudgetExceeded, which callers convert into dynamic-path degradation.
+// the dynamic path. Compilation allocates no arena; the arena's owner
+// charges its pool budget when it constructs one (tensor/arena.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,9 +48,22 @@ namespace yollo::plan {
 bool enabled();
 void set_enabled(bool enabled);
 
+// The mutable half of planned execution: touched only by the thread
+// executing into it.
+using yollo::Arena;
+
+// Thrown by Program::execute when handed an arena smaller than the
+// program's layout.
+class ArenaTooSmall : public std::runtime_error {
+ public:
+  ArenaTooSmall(int64_t required_bytes, int64_t arena_bytes);
+  int64_t required_bytes;
+  int64_t arena_bytes;
+};
+
 // --- plan IR -----------------------------------------------------------------
 
-// One buffer the plan knows about. External slots (bound parameters and
+// One buffer the program knows about. External slots (bound parameters and
 // recorded constants) keep a Tensor handle: the pointer is resolved once and
 // the handle keeps the storage alive; in-place parameter loads and running-
 // stat updates flow through automatically. Arena slots get a fixed offset.
@@ -105,8 +121,8 @@ struct ConcatPart {
 };
 
 // Flat op record. One struct covers every kind; only the fields of the
-// op's kind are meaningful. Geometry is frozen at compile time; in_ptr /
-// out_ptr are resolved against the arena and external bindings so the
+// op's kind are meaningful. Geometry is frozen at compile time and operand
+// locations are resolved to an external pointer or an arena offset, so the
 // executor never touches a Slot.
 struct Op {
   OpKind kind = OpKind::kEltwise;
@@ -115,8 +131,11 @@ struct Op {
   int32_t out = -1;
   Shape out_shape;
 
-  std::vector<const float*> in_ptr;  // resolved, parallel to args
-  float* out_ptr = nullptr;
+  // Parallel to args: the arena offset (floats) of each operand, or -1 for
+  // an external one, whose pointer is in ext_ptr.
+  std::vector<int64_t> arg_off;
+  std::vector<const float*> ext_ptr;
+  int64_t out_off = 0;
 
   // kEltwise
   std::vector<EltStage> stages;
@@ -157,57 +176,40 @@ struct Op {
   int32_t cols_arg = -1;  // index into args of the im2col workspace slot
 };
 
-// --- the compiled plan -------------------------------------------------------
+// --- the compiled program ----------------------------------------------------
 
-class Plan {
+class Program {
  public:
-  // Movable-from ExecGuard returned by try_execute: truthy when the plan ran,
-  // and holds the execution lock so the caller can read the output pointers
-  // before another thread's execution overwrites the arena.
-  class ExecGuard {
-   public:
-    ExecGuard() = default;
-    ExecGuard(ExecGuard&& o) noexcept
-        : plan_(o.plan_), lock_(std::move(o.lock_)) {
-      o.plan_ = nullptr;
-    }
-    ExecGuard& operator=(ExecGuard&& o) noexcept {
-      plan_ = o.plan_;
-      lock_ = std::move(o.lock_);
-      o.plan_ = nullptr;
-      return *this;
-    }
-    explicit operator bool() const { return plan_ != nullptr; }
-    const float* scores() const;
-    const float* deltas() const;
-    const Shape& scores_shape() const;
-    const Shape& deltas_shape() const;
-    // Backbone features captured as a third plan output (when the plan was
-    // compiled with one): the serve feature cache clones them out of the
-    // arena while the guard is held. null/empty when the plan carries none.
-    bool has_features() const;
-    const float* features() const;
-    const Shape& features_shape() const;
-
-   private:
-    friend class Plan;
-    ExecGuard(Plan* plan, std::unique_lock<std::mutex> lock)
-        : plan_(plan), lock_(std::move(lock)) {}
-    Plan* plan_ = nullptr;
-    std::unique_lock<std::mutex> lock_;
+  // Arena-resident outputs of one execution: valid until the arena is
+  // executed into again or destroyed. `features` is null when the program
+  // was compiled without the backbone-feature output.
+  struct Outputs {
+    const float* scores = nullptr;
+    const float* deltas = nullptr;
+    const float* features = nullptr;
   };
 
-  // Runs the planned forward for `images`/`tokens` (which must match the
-  // recorded batch geometry). Returns an empty guard without blocking when
-  // another thread is executing this plan (the caller falls back to the
-  // dynamic path). Throws ExecCancelled at op boundaries when the caller's
-  // ExecContext is cancelled. Allocation-free after warmup.
-  ExecGuard try_execute(const Tensor& images,
-                        const std::vector<int64_t>& tokens);
+  // True when `images`/`tokens` match the recorded batch geometry.
+  bool accepts(const Tensor& images, const std::vector<int64_t>& tokens) const;
+
+  // Runs the planned forward into `arena`. Throws ArenaTooSmall when the
+  // arena cannot hold this program's layout, std::invalid_argument when the
+  // inputs do not match the recorded geometry (see accepts()), and
+  // ExecCancelled at op boundaries when the caller's ExecContext is
+  // cancelled. Allocation-free after warmup. Concurrent executions of one
+  // Program are safe as long as each runs in its own arena.
+  Outputs execute(Arena& arena, const Tensor& images,
+                  const std::vector<int64_t>& tokens) const;
 
   int64_t batch() const { return batch_; }
-  int64_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
+  int64_t arena_floats() const { return arena_floats_; }
+  int64_t arena_bytes() const {
+    return arena_floats_ * static_cast<int64_t>(sizeof(float));
+  }
   int64_t num_ops() const { return static_cast<int64_t>(ops_.size()); }
+  const Shape& scores_shape() const { return scores_shape_; }
+  const Shape& deltas_shape() const { return deltas_shape_; }
+  const Shape& features_shape() const { return feat_shape_; }
 
   // Layout introspection for tests: every non-external slot as
   // (offset, numel, def, last_use). Liveness-overlapping entries must be
@@ -220,30 +222,31 @@ class Plan {
 
  private:
   friend class Recorder;
-  Plan() = default;
-  void execute_locked(const Tensor& images, const std::vector<int64_t>& tokens);
-  void run_eltwise(const Op& op) const;
+  Program() = default;
 
   std::vector<Op> ops_;
   std::vector<Slot> slots_;
-  std::unique_ptr<Arena> arena_;
-  std::mutex exec_mu_;
+  int64_t arena_floats_ = 0;
 
   int64_t batch_ = 0, img_h_ = 0, img_w_ = 0;
   int64_t mask_m_ = 0, mask_n_ = 0;  // pair-mask geometry
   int64_t tokens_count_ = 0;         // expected tokens.size() per execution
-  float* coords_ptr_ = nullptr;      // CoordConv input slot (may be null)
-  float* mask_ptr_ = nullptr;        // pair-mask input slot (may be null)
-  int32_t scores_slot_ = -1, deltas_slot_ = -1;
-  int32_t feat_slot_ = -1;  // optional third output (backbone features)
+  int64_t coords_off_ = -1;          // CoordConv input slot (-1 = none)
+  int64_t mask_off_ = -1;            // pair-mask input slot (-1 = none)
+  int64_t scores_off_ = 0, deltas_off_ = 0;
+  int64_t feat_off_ = -1;  // optional third output (backbone features)
   Shape scores_shape_, deltas_shape_;  // output view shapes (post-reshape)
   Shape feat_shape_;
 };
 
+// One Program per batch size: entry b-1 runs batch b (null where the trace
+// was unplannable). Shared read-only by every executor of a model.
+using ProgramSet = std::vector<std::shared_ptr<const Program>>;
+
 // --- the recorder ------------------------------------------------------------
 
 // Observes one grad-free eager forward through the autograd trace hooks and
-// compiles the op stream into a Plan. Keeps every recorded tensor alive for
+// compiles the op stream into a Program. Keeps every recorded tensor alive for
 // its own lifetime so storage pointers cannot be recycled (and therefore
 // cannot collide) while recording.
 class Recorder final : public ag::trace::Sink {
@@ -261,11 +264,11 @@ class Recorder final : public ag::trace::Sink {
   // non-null, pins a third output (the backbone feature map) so executions
   // can serve the feature cache straight from the arena; it must also be a
   // recorded op result. Returns nullptr with `*why` filled when the trace
-  // was unplannable; throws PoolBudgetExceeded when the arena charge is
-  // refused.
-  std::shared_ptr<Plan> compile(const Tensor& scores, const Tensor& deltas,
-                                std::string* why,
-                                const Tensor* features = nullptr);
+  // was unplannable.
+  std::shared_ptr<const Program> compile(const Tensor& scores,
+                                         const Tensor& deltas,
+                                         std::string* why,
+                                         const Tensor* features = nullptr);
 
   bool unplannable() const { return unplannable_; }
   const std::string& reason() const { return reason_; }

@@ -157,6 +157,10 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
   config_.num_shards = std::max<int64_t>(1, config_.num_shards);
   config_.health_interval_ms = std::max<int64_t>(1, config_.health_interval_ms);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
+  // One Program set for the whole fleet, compiled here before any shard
+  // starts: every shard's workers execute the same instances.
+  const plan::ProgramSet programs =
+      InferenceService::compile_programs(model, vocab, config_.shard);
   for (int64_t i = 0; i < config_.num_shards; ++i) {
     ShardEntry entry;
     ServeConfig sc = config_.shard;
@@ -167,7 +171,8 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
       entry.injector = std::make_unique<runtime::FaultInjector>();
       sc.fault_injector = entry.injector.get();
     }
-    entry.service = std::make_unique<InferenceService>(model, vocab, sc);
+    entry.service =
+        std::make_unique<InferenceService>(model, vocab, sc, programs);
     shards_.push_back(std::move(entry));
     ring_.add_node(i);
   }
@@ -614,8 +619,23 @@ void Router::kill_shard(int64_t i) {
 }
 
 obs::MetricsSnapshot Router::metrics_snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return metrics_.snapshot();
+  obs::MetricsSnapshot snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    snapshot = metrics_.snapshot();
+  }
+  // Fleet memory: the shards' per-service memory gauges, summed.
+  double arena = 0.0;
+  double pool = 0.0;
+  for (const ShardEntry& entry : shards_) {
+    if (!entry.service) continue;
+    const obs::MetricsSnapshot shard = entry.service->metrics_snapshot();
+    arena += shard.gauge("serve.arena_bytes");
+    pool += shard.gauge("serve.pool_bytes");
+  }
+  snapshot.gauges["serve.arena_bytes"] = arena;
+  snapshot.gauges["serve.pool_bytes"] = pool;
+  return snapshot;
 }
 
 RouterCounters Router::counters() const {

@@ -215,6 +215,8 @@ class Router {
   // takes).
   RouterCounters counters() const;
   RouterHealth health() const;
+  // The router's own metrics plus the fleet's memory gauges
+  // (serve.arena_bytes, serve.pool_bytes: each shard's, summed).
   obs::MetricsSnapshot metrics_snapshot() const;
 
   const RouterConfig& config() const { return config_; }

@@ -7,6 +7,7 @@
 
 #include "nn/module.h"
 #include "obs/trace.h"
+#include "plan/plan.h"
 #include "runtime/fault.h"
 #include "tensor/pool.h"
 
@@ -69,9 +70,29 @@ void CancelToken::detach() {
   ctx_ = nullptr;
 }
 
+plan::ProgramSet InferenceService::compile_programs(
+    core::YolloModel& model, const data::Vocab& vocab,
+    const ServeConfig& config) {
+  if (!config.warm_plans || !plan::enabled()) return {};
+  // Record on a private copy: the Programs bind its weights, so a caller
+  // that later mutates `model` cannot reach the service's planned path.
+  Rng rng(config.seed);
+  core::YolloModel recorder(model.config(), vocab.size(), rng);
+  nn::copy_module_state(recorder, model);
+  recorder.set_training(false);
+  return recorder.compile_programs(std::max<int64_t>(1, config.batch_max));
+}
+
 InferenceService::InferenceService(core::YolloModel& model,
                                    const data::Vocab& vocab,
                                    const ServeConfig& config)
+    : InferenceService(model, vocab, config,
+                       compile_programs(model, vocab, config)) {}
+
+InferenceService::InferenceService(core::YolloModel& model,
+                                   const data::Vocab& vocab,
+                                   const ServeConfig& config,
+                                   plan::ProgramSet programs)
     : config_(config),
       model_config_(model.config()),
       vocab_(&vocab),
@@ -96,6 +117,8 @@ InferenceService::InferenceService(core::YolloModel& model,
       g_queue_high_water_(metrics_.gauge("serve.queue_high_water")),
       g_max_batch_(metrics_.gauge("serve.max_batch")),
       g_workers_warmed_(metrics_.gauge("serve.workers_warmed")),
+      g_arena_bytes_(metrics_.gauge("serve.arena_bytes")),
+      g_pool_bytes_(metrics_.gauge("serve.pool_bytes")),
       h_queue_depth_(metrics_.histogram(
           "serve.queue_depth",
           obs::depth_bounds(std::max<int64_t>(1, config.queue_capacity)))),
@@ -134,9 +157,12 @@ InferenceService::InferenceService(core::YolloModel& model,
   config_.watchdog_grace_intervals =
       std::max<int64_t>(1, config_.watchdog_grace_intervals);
   // One eval-mode replica per worker: threads never share mutable tensor
-  // storage, so the pool needs no lock around the forward pass. The master
-  // replica never serves — it exists so the watchdog can stamp out a
-  // replacement without copying from a replica that is mid-forward.
+  // storage, so the pool needs no lock around the forward pass. The
+  // replicas share the immutable Programs and each runs them in its own
+  // arena. The master replica never serves — it exists so the watchdog can
+  // stamp out a replacement without copying from a replica that is
+  // mid-forward.
+  programs_ = std::move(programs);
   {
     Rng rng(config_.seed);
     master_replica_ = std::make_unique<core::YolloModel>(model_config_,
@@ -147,12 +173,11 @@ InferenceService::InferenceService(core::YolloModel& model,
   workers_.reserve(static_cast<size_t>(config_.num_workers));
   for (int64_t i = 0; i < config_.num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
-    Rng rng(config_.seed + 1 + static_cast<uint64_t>(i));
-    worker->replica = std::make_unique<core::YolloModel>(model_config_,
-                                                         vocab.size(), rng);
-    nn::copy_module_state(*worker->replica, model);
-    worker->replica->set_training(false);
+    worker->replica =
+        make_replica(config_.seed + 1 + static_cast<uint64_t>(i));
     Worker* raw = worker.get();
+    // Started workers walk workers_ under mutex_ (the memory gauges).
+    std::lock_guard<std::mutex> lock(mutex_);
     worker->thread = std::thread([this, raw] { worker_loop(raw); });
     workers_.push_back(std::move(worker));
   }
@@ -162,6 +187,17 @@ InferenceService::InferenceService(core::YolloModel& model,
 }
 
 InferenceService::~InferenceService() { stop(); }
+
+std::unique_ptr<core::YolloModel> InferenceService::make_replica(
+    uint64_t seed) {
+  Rng rng(seed);
+  auto replica = std::make_unique<core::YolloModel>(model_config_,
+                                                    vocab_->size(), rng);
+  nn::copy_module_state(*replica, *master_replica_);
+  replica->set_training(false);
+  replica->adopt_programs(programs_);
+  return replica;
+}
 
 InferenceService::Clock::time_point InferenceService::resolve_deadline(
     const GroundRequest& request, int64_t default_ms, Clock::time_point now) {
@@ -287,36 +323,37 @@ void InferenceService::worker_loop(Worker* self) {
   if (config_.enable_cancellation) {
     exec_scope = std::make_unique<ExecContext::Scope>(&self->ctx);
   }
-  // Compile the static forward plans this worker will serve from before the
-  // first request arrives (the arena charges this worker's pool budget; a
-  // refusal leaves that batch size on the dynamic path). warm_plan() runs
-  // inside the exec scope so shutdown-time cancellation can abort it.
-  if (config_.warm_plans) {
-    // stop() writes stopping_ under mutex_, possibly mid warm-up.
-    const auto stopping = [this] {
-      std::lock_guard<std::mutex> lock(mutex_);
-      return stopping_;
-    };
-    for (int64_t b = 1; b <= config_.batch_max; ++b) {
-      if (stopping() || self->lost.load(std::memory_order_relaxed)) break;
-      try {
-        self->replica->warm_plan(b);
-      } catch (...) {
-        // A cancelled/failed warm-up is not fatal: that batch size simply
-        // records lazily on first use or stays dynamic.
-        break;
-      }
+  // Size this worker's one arena to the largest shared Program (charged to
+  // this worker's pool budget; a refusal leaves it on the dynamic path) and
+  // run that Program once to warm the kernels' scratch. Nothing is recorded
+  // here: the Programs were compiled before the workers started.
+  // warm_plan() runs inside the exec scope so cancellation can abort it.
+  bool stopping = false;
+  {
+    // stop() writes stopping_ under mutex_, possibly before warm-up.
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping = stopping_;
+  }
+  if (config_.warm_plans && !stopping &&
+      !self->lost.load(std::memory_order_relaxed)) {
+    try {
+      self->replica->warm_plan(config_.batch_max);
+    } catch (...) {
+      // A cancelled/failed warm-up is not fatal: the arena is simply sized
+      // on first use or the worker stays dynamic.
     }
   }
   // Signal warm-up completion (set even when warm_plans is off, so callers
   // can always gate on it): benchmarks wait for this gauge to reach
-  // num_workers before starting their clocks, otherwise a batch_max-8
-  // service is measured while its workers are still compiling eight plans
-  // each — the very skew behind the BENCH_infer serve_burst regression.
+  // num_workers before starting their clocks.
   {
+    const int64_t arena = self->replica->plan_cache_stats().arena_bytes;
     std::lock_guard<std::mutex> lock(mutex_);
     ++warmed_workers_;
     g_workers_warmed_.set(static_cast<double>(warmed_workers_));
+    self->arena_bytes = arena;
+    self->pool_bytes = pool.outstanding_bytes();
+    publish_memory_locked();
   }
   for (;;) {
     std::vector<Job> batch;
@@ -391,6 +428,13 @@ void InferenceService::worker_loop(Worker* self) {
     self->busy.store(true, std::memory_order_release);
     process_batch(*self, batch);
     self->busy.store(false, std::memory_order_release);
+    // The arena may have been sized lazily (after a budget refusal cleared).
+    if (const int64_t arena = self->replica->plan_cache_stats().arena_bytes;
+        arena != self->arena_bytes) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      self->arena_bytes = arena;
+      publish_memory_locked();
+    }
     {
       std::lock_guard<std::mutex> lock(self->mu);
       self->active.clear();
@@ -797,6 +841,18 @@ void InferenceService::run_model_tier(Worker& self, Job& job,
   }
 }
 
+void InferenceService::publish_memory_locked() {
+  int64_t arena = 0;
+  int64_t pool = 0;
+  for (const auto& worker : workers_) {
+    if (worker->lost.load(std::memory_order_acquire)) continue;
+    arena += worker->arena_bytes;
+    pool += worker->pool_bytes;
+  }
+  g_arena_bytes_.set(static_cast<double>(arena));
+  g_pool_bytes_.set(static_cast<double>(pool));
+}
+
 Status InferenceService::map_cancelled(Worker& self) {
   // Measure signal -> first checkpoint that observed it. cancel_time_ns is
   // stamped by whichever writer fired first; by the time the forward has
@@ -993,20 +1049,16 @@ void InferenceService::reap_worker(Worker* worker) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     c_workers_lost_.inc();
+    publish_memory_locked();
     spawn = !stopping_;
   }
   if (!spawn) return;
   // Stamp the replacement from the master replica (never serves, so it is
-  // safe to copy) outside mutex_ — a model copy is not cheap.
+  // safe to copy) outside mutex_ — a model copy is not cheap. It serves from
+  // the same shared Programs: a respawn compiles nothing.
   auto replacement = std::make_unique<Worker>();
-  {
-    Rng rng(config_.seed + 1000 +
-            static_cast<uint64_t>(c_workers_spawned_.value()));
-    replacement->replica = std::make_unique<core::YolloModel>(
-        model_config_, vocab_->size(), rng);
-    nn::copy_module_state(*replacement->replica, *master_replica_);
-    replacement->replica->set_training(false);
-  }
+  replacement->replica = make_replica(
+      config_.seed + 1000 + static_cast<uint64_t>(c_workers_spawned_.value()));
   Worker* raw = replacement.get();
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -20,8 +20,10 @@
 //     kDeadlineExceeded, never silently dropped;
 //   - the model tier runs on per-worker replicas (no shared mutable tensor
 //     state between threads) through the exception-free
-//     YolloModel::infer(); a fault or non-finite forward is retried up to
-//     max_retries times, then the request fails typed (kInternalError);
+//     YolloModel::infer(); the replicas share one immutable set of compiled
+//     Programs and each executes them in its own arena; a fault or
+//     non-finite forward is retried up to max_retries times, then the
+//     request fails typed (kInternalError);
 //   - a circuit breaker trips after breaker_threshold consecutive model
 //     failures and fails the next breaker_cooldown requests fast
 //     (kInternalError, which a router fails over) before probing the model
@@ -135,11 +137,12 @@ struct ServeConfig {
   // forward in flight. Off restores the PR-2 observe-only deadline
   // behaviour (and disables the watchdog, which needs heartbeats).
   bool enable_cancellation = true;
-  // Compile static forward plans (DESIGN.md §14) for every batch size up to
-  // batch_max before the worker takes its first request, so no request pays
-  // the record+compile cost. Charges the worker's pool budget; a refused
-  // arena just leaves that batch size on the dynamic path. No-op when
-  // YOLLO_PLAN=0.
+  // Compile static forward Programs (DESIGN.md §14) for every batch size up
+  // to batch_max once, at construction, and have each worker size its one
+  // arena to the largest of them (charged to the worker's pool budget)
+  // before it takes its first request, so no request pays the
+  // record+compile cost. A refused arena just leaves the worker on the
+  // dynamic path. No-op when YOLLO_PLAN=0.
   bool warm_plans = true;
   // Watchdog poll interval in ms. -1 reads YOLLO_WATCHDOG_MS at
   // construction; <= 0 disables the watchdog (the default when the env is
@@ -239,9 +242,26 @@ class InferenceService {
  public:
   // `model` is copied into num_workers eval-mode replicas; the source is
   // not referenced after construction. `vocab` must outlive the service.
+  // Compiles the service's Programs with compile_programs() first.
   InferenceService(core::YolloModel& model, const data::Vocab& vocab,
                    const ServeConfig& config);
+  // Serves from Programs compiled elsewhere: every worker (and every
+  // watchdog replacement) executes these shared instances in its own
+  // arena. `programs` must come from compile_programs() over the same model
+  // weights and config geometry; with an empty set each worker's replica
+  // records lazily on first use, as a standalone model does.
+  InferenceService(core::YolloModel& model, const data::Vocab& vocab,
+                   const ServeConfig& config, plan::ProgramSet programs);
   ~InferenceService();
+
+  // Records and compiles one Program per batch size 1..batch_max on the
+  // calling thread, from a private eval-mode copy of `model` whose weights
+  // the Programs keep alive. Empty when config.warm_plans is off or
+  // YOLLO_PLAN=0. The Router calls this once and shares the set across its
+  // shards.
+  static plan::ProgramSet compile_programs(core::YolloModel& model,
+                                           const data::Vocab& vocab,
+                                           const ServeConfig& config);
 
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
@@ -281,6 +301,8 @@ class InferenceService {
 
   const ServeConfig& config() const { return config_; }
   const core::YolloConfig& model_config() const { return model_config_; }
+  // The shared Programs every worker executes (entry b-1 runs batch b).
+  const plan::ProgramSet& programs() const { return programs_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -345,6 +367,10 @@ class InferenceService {
     uint64_t last_generation = 0;
     int64_t stalled_polls = 0;
     bool kicked = false;
+    // Memory the worker holds, summed into the serve.arena_bytes and
+    // serve.pool_bytes gauges (written under mutex_ by the worker).
+    int64_t arena_bytes = 0;
+    int64_t pool_bytes = 0;
   };
 
   void worker_loop(Worker* self);
@@ -385,6 +411,11 @@ class InferenceService {
   // Map a cancelled forward outcome to its terminal status and observe the
   // cancel->observed latency histogram.
   Status map_cancelled(Worker& self);
+  // Re-sum the live workers' memory into the serve.arena_bytes and
+  // serve.pool_bytes gauges. Caller holds mutex_.
+  void publish_memory_locked();
+  // Fresh eval-mode replica of the master copy, serving from programs_.
+  std::unique_ptr<core::YolloModel> make_replica(uint64_t seed);
 
   // --- continuous-batching scheduler (all under mutex_) --------------------
   // Predicted wall cost (ms) of a batched forward of size k: the live
@@ -407,6 +438,8 @@ class InferenceService {
   // in-use replica cannot be copied safely (its train/eval flags flip
   // under EvalModeGuard on another thread), this one never runs.
   std::unique_ptr<core::YolloModel> master_replica_;
+  // Compiled once, shared read-only by every worker's replica.
+  plan::ProgramSet programs_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread watchdog_;
 
@@ -443,6 +476,8 @@ class InferenceService {
   obs::Gauge& g_queue_high_water_;
   obs::Gauge& g_max_batch_;
   obs::Gauge& g_workers_warmed_;
+  obs::Gauge& g_arena_bytes_;
+  obs::Gauge& g_pool_bytes_;
   obs::Histogram& h_queue_depth_;
   obs::Histogram& h_queue_wait_ms_;
   obs::Histogram& h_model_ms_;

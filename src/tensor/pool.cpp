@@ -5,6 +5,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "tensor/parallel.h"
 
@@ -170,6 +171,12 @@ PoolScope::PoolScope() {
 PoolScope::~PoolScope() {
   if (state_) detail::t_active_pool.reset();
 }
+
+PoolSuspend::PoolSuspend() : saved_(std::move(detail::t_active_pool)) {
+  detail::t_active_pool.reset();
+}
+
+PoolSuspend::~PoolSuspend() { detail::t_active_pool = std::move(saved_); }
 
 bool PoolScope::active() { return detail::t_active_pool != nullptr; }
 

@@ -22,7 +22,9 @@
 //  - Nesting joins: opening a PoolScope while one is already active on the
 //    thread is a no-op passthrough, so an outer long-lived scope (e.g. a
 //    serve worker) keeps recycling across the inner scopes that
-//    YolloModel::predict/infer install internally.
+//    YolloModel::predict/infer install internally. One-off work that must
+//    not park its buffers in such a scope (plan recording) runs under a
+//    PoolSuspend instead.
 //  - Budgeted: a scope may set a byte budget. A fresh allocation that
 //    would push the pool's outstanding bytes (live + parked) past it
 //    throws PoolBudgetExceeded instead of growing — the serving layer
@@ -113,6 +115,22 @@ class PoolScope {
 
  private:
   std::shared_ptr<detail::PoolState> state_;  // null when passthrough
+};
+
+// Detaches the calling thread's active PoolScope (if any) for this object's
+// lifetime and reattaches it on destruction. Storage allocated meanwhile
+// comes from, and returns to, the allocator: it is neither parked in nor
+// charged to the suspended pool. Plan recording runs under one, so its
+// one-off temporaries never settle in a long-lived pool.
+class PoolSuspend {
+ public:
+  PoolSuspend();
+  ~PoolSuspend();
+  PoolSuspend(const PoolSuspend&) = delete;
+  PoolSuspend& operator=(const PoolSuspend&) = delete;
+
+ private:
+  std::shared_ptr<detail::PoolState> saved_;
 };
 
 }  // namespace yollo

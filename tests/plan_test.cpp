@@ -1,7 +1,9 @@
 // Static forward-plan tests (DESIGN.md §14): bitwise plan-vs-dynamic
 // equivalence, arena liveness non-overlap, plan-cache behaviour, typed
 // cancellation through the planned path, the zero-allocation steady-state
-// contract, and concurrent workers sharing one plan (the TSan leg).
+// contract, concurrent workers sharing one model's arena, and threads
+// sharing one Program set in per-thread arenas (the TSan leg).
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +15,7 @@
 
 #include "core/yollo.h"
 #include "plan/plan.h"
+#include "tensor/arena.h"
 #include "tensor/exec.h"
 #include "tensor/pool.h"
 
@@ -186,13 +189,12 @@ TEST(PlanTest, ArenaSlotsWithOverlappingLivenessAreDisjoint) {
   core::YolloModel model(cfg, 40, rng);
   PlanSwitch on(true);
   model.warm_plan(3);
-  std::shared_ptr<plan::Plan> p = model.cached_plan(3);
+  std::shared_ptr<const plan::Program> p = model.cached_program(3);
   ASSERT_NE(p, nullptr);
 
-  const std::vector<plan::Plan::SlotExtent> layout = p->arena_layout();
+  const std::vector<plan::Program::SlotExtent> layout = p->arena_layout();
   ASSERT_FALSE(layout.empty());
-  const int64_t arena_floats =
-      p->arena_bytes() / static_cast<int64_t>(sizeof(float));
+  const int64_t arena_floats = p->arena_floats();
   for (const auto& s : layout) {
     EXPECT_GE(s.offset, 0);
     EXPECT_LE(s.offset + s.numel, arena_floats);
@@ -358,6 +360,78 @@ TEST(PlanTest, ConcurrentWorkersSharingOnePlanStayCorrect) {
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// --- one Program set, many arenas --------------------------------------------
+
+TEST(PlanTest, ProgramSetSharedAcrossThreadsWithPerThreadArenas) {
+  const core::YolloConfig cfg = small_config();
+  Rng rng(4321);
+  core::YolloModel model(cfg, 40, rng);
+  model.set_training(false);
+  constexpr int64_t kBatchMax = 8;
+
+  // Dynamic references for every batch size, primes 5 and 7 included.
+  std::vector<Tensor> images;
+  std::vector<std::vector<int64_t>> tokens;
+  std::vector<core::YolloModel::RawForward> expect;
+  {
+    PlanSwitch off(false);
+    for (int64_t b = 1; b <= kBatchMax; ++b) {
+      images.push_back(test_images(b, cfg, 300 + static_cast<uint64_t>(b)));
+      tokens.push_back(test_tokens(b, cfg));
+      expect.push_back(model.raw_forward(images.back(), tokens.back()));
+      ASSERT_FALSE(expect.back().planned);
+    }
+  }
+
+  PlanSwitch on(true);
+  const plan::ProgramSet programs = model.compile_programs(kBatchMax);
+  ASSERT_EQ(programs.size(), static_cast<size_t>(kBatchMax));
+  int64_t max_floats = 0;
+  for (const auto& p : programs) {
+    ASSERT_NE(p, nullptr);
+    max_floats = std::max(max_floats, p->arena_floats());
+  }
+
+  // An arena one float short of a Program's layout is refused, typed.
+  {
+    const plan::Program& p = *programs.back();
+    plan::Arena small(p.arena_floats() - 1);
+    EXPECT_THROW(p.execute(small, images.back(), tokens.back()),
+                 plan::ArenaTooSmall);
+  }
+
+  // Four threads run the same immutable Programs, each in its own
+  // batch_max-sized arena: every output must be bitwise the dynamic one.
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      plan::Arena arena(max_floats);
+      for (int64_t i = 0; i < kBatchMax; ++i) {
+        // Stagger the order so threads overlap on different sizes.
+        const size_t b = static_cast<size_t>((i + t) % kBatchMax);
+        const plan::Program& p = *programs[b];
+        const plan::Program::Outputs out =
+            p.execute(arena, images[b], tokens[b]);
+        const Tensor& s = expect[b].scores;
+        const Tensor& d = expect[b].deltas;
+        if (numel(p.scores_shape()) != s.numel() ||
+            numel(p.deltas_shape()) != d.numel() ||
+            std::memcmp(out.scores, s.data(),
+                        sizeof(float) * static_cast<size_t>(s.numel())) != 0 ||
+            std::memcmp(out.deltas, d.data(),
+                        sizeof(float) * static_cast<size_t>(d.numel())) != 0) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

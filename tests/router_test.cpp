@@ -22,9 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/plan.h"
 #include "runtime/fault.h"
 #include "serve/router.h"
 #include "serve/service.h"
+#include "test_util.h"
 
 // TSan slows real forward passes ~15x while injected wall-clock delays
 // (slow_forward_ms) stay fixed, which silently inverts the ratios the
@@ -447,6 +449,36 @@ TEST(RouterTest, DegradedShardIsDrainedProbedAndRestored) {
   expect_invariant(counters);
   const RouterHealth health = router.health();
   EXPECT_EQ(health.in_rotation, 3);
+}
+
+TEST(RouterTest, ShardsShareOneProgramSetCompiledOnce) {
+  FaultGuard guard;
+  RouterHarness h;
+  RouterConfig rc = h.frozen_config();
+  rc.shard.batch_max = 4;
+  const int64_t compiles = testing::global_counter("plan.compiles");
+  Router router(h.model, h.vocab, rc);
+  // One recording per batch size for the whole fleet.
+  EXPECT_EQ(testing::global_counter("plan.compiles") - compiles, 4);
+
+  const plan::ProgramSet& programs = router.shard(0).programs();
+  ASSERT_EQ(programs.size(), 4u);
+  int64_t largest = 0;
+  for (const auto& program : programs) {
+    ASSERT_NE(program, nullptr);
+    largest = std::max(largest, program->arena_bytes());
+  }
+  for (int64_t s = 0; s < router.num_shards(); ++s) {
+    const plan::ProgramSet& shard = router.shard(s).programs();
+    ASSERT_EQ(shard.size(), programs.size());
+    for (size_t b = 0; b < programs.size(); ++b) {
+      EXPECT_EQ(shard[b].get(), programs[b].get()) << "shard " << s;
+    }
+    testing::wait_for_warm(router.shard(s), 1);
+  }
+  // The router snapshot sums the shards' arenas: one per worker.
+  EXPECT_EQ(router.metrics_snapshot().gauge("serve.arena_bytes"),
+            static_cast<double>(3 * largest));
 }
 
 TEST(RouterTest, KilledShardStaysOutOfRotation) {

@@ -1,6 +1,7 @@
 // Serving-layer tests: typed error taxonomy, admission validation, the
 // exception-free inference entry point, bounded-queue backpressure,
-// deadlines at every stage, retry + circuit-breaker fail-fast, and a
+// deadlines at every stage, retry + circuit-breaker fail-fast, worker
+// memory (one shared Program set, one arena per worker), and a
 // multi-threaded stress run under injected faults.
 //
 // Every fault-driven branch is exercised through runtime::FaultInjector's
@@ -10,6 +11,7 @@
 // Counter assertions read the service's obs::MetricsRegistry snapshot
 // (metrics_snapshot() / counters_from_snapshot) — one coherent cut of the
 // accounting, the same path counters() and health() use.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -22,10 +24,12 @@
 #include <gtest/gtest.h>
 
 #include "nn/layers.h"
+#include "plan/plan.h"
 #include "runtime/fault.h"
 #include "serve/service.h"
 #include "serve/status.h"
 #include "serve/validation.h"
+#include "tensor/pool.h"
 #include "test_util.h"
 
 // TSan slows real forward passes ~15x while injected wall-clock delays
@@ -899,6 +903,82 @@ TEST(ServiceStressTest, MixedLoadUnderFaultsLosesNoRequest) {
   EXPECT_GE(counters.rejected_invalid, 1);
   // The injected faults must have driven real failures or retries.
   EXPECT_GE(counters.failed + counters.retries, 1);
+}
+
+// --- worker memory: one shared Program set, one arena per worker -----------
+
+TEST(ServeMemoryTest, ArenaGaugeIsOneLargestProgramArenaPerWorker) {
+  FaultGuard guard;
+  ServeHarness h;
+  ServeConfig sc;
+  sc.num_workers = 3;
+  sc.queue_capacity = 64;
+  sc.batch_max = 4;
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 3);
+  const int64_t compiles = testing::global_counter("plan.compiles");
+  const int64_t fallbacks = testing::global_counter("plan.fallbacks");
+
+  ASSERT_EQ(service.programs().size(), 4u);
+  int64_t largest = 0;
+  for (const auto& program : service.programs()) {
+    ASSERT_NE(program, nullptr);
+    largest = std::max(largest, program->arena_bytes());
+  }
+  EXPECT_EQ(service.metrics_snapshot().gauge("serve.arena_bytes"),
+            static_cast<double>(3 * largest));
+
+  // Concurrent load across all three workers: each runs the shared Programs
+  // in its own arena, so nothing compiles and nothing falls back for want
+  // of a free arena.
+  std::vector<std::future<GroundResponse>> futures;
+  for (int i = 0; i < 24; ++i) {
+    futures.push_back(
+        service.submit(h.request("red circle", 100 + static_cast<uint64_t>(i))));
+  }
+  for (auto& future : futures) {
+    const GroundResponse response = future.get();
+    EXPECT_TRUE(response.status.ok()) << response.status.to_string();
+  }
+  EXPECT_EQ(testing::global_counter("plan.compiles"), compiles);
+  EXPECT_EQ(testing::global_counter("plan.fallbacks"), fallbacks);
+  EXPECT_EQ(service.metrics_snapshot().gauge("serve.arena_bytes"),
+            static_cast<double>(3 * largest));
+}
+
+TEST(ServeMemoryTest, WarmUpLeavesLessThanOneDynamicForwardInThePool) {
+  FaultGuard guard;
+  ServeHarness h;
+  ServeConfig sc;
+  sc.num_workers = 1;
+  sc.batch_max = 4;
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  const double pool_bytes = snap.gauge("serve.pool_bytes");
+  const double arena_bytes = snap.gauge("serve.arena_bytes");
+
+  // One batch_max dynamic forward's working set, measured the way a worker
+  // pool holds it: what a fresh pool retains after the forward.
+  int64_t working_set = 0;
+  {
+    const bool saved = plan::enabled();
+    plan::set_enabled(false);
+    PoolScope pool;
+    Rng rng(77);
+    const Tensor images = Tensor::rand({4, 3, h.cfg.img_h, h.cfg.img_w}, rng);
+    const std::vector<int64_t> tokens(
+        static_cast<size_t>(4 * h.cfg.max_query_len), 1);
+    const bool ok = h.model.infer(images, tokens).ok();
+    working_set = pool.outstanding_bytes();
+    plan::set_enabled(saved);
+    ASSERT_TRUE(ok);
+  }
+  // The worker's arena is charged to its pool once...
+  EXPECT_GT(arena_bytes, 0.0);
+  EXPECT_GE(pool_bytes, arena_bytes);
+  // ...and warm-up parks little else: no recording ran inside the pool.
+  EXPECT_LT(pool_bytes, static_cast<double>(working_set));
 }
 
 }  // namespace

@@ -534,6 +534,8 @@ TEST(SupervisionWatchdogTest, WedgedWorkerIsReapedAndReplaced) {
   sc.fault_injector = &injector;
   InferenceService service(h.model, h.vocab, sc);
   testing::wait_for_warm(service, 1);
+  const int64_t compiles = testing::global_counter("plan.compiles");
+  const int64_t fallbacks = testing::global_counter("plan.fallbacks");
 
   const Clock::time_point t0 = Clock::now();
   const GroundResponse wedged = service.ground(h.request());
@@ -546,9 +548,18 @@ TEST(SupervisionWatchdogTest, WedgedWorkerIsReapedAndReplaced) {
   EXPECT_LT(elapsed, 1000.0) << "reap did not pre-empt the wedge";
 
   // The replacement worker serves the next request while the wedged thread
-  // is still sleeping.
+  // is still sleeping...
+  testing::wait_for_warm(service, 2);
+  const int64_t executions = testing::global_counter("plan.executions");
   const GroundResponse next = service.ground(h.request());
   EXPECT_TRUE(next.status.answered()) << next.status.to_string();
+
+  // ...from the shared Programs: the respawn compiled nothing, sized its
+  // own arena, and ran its forward planned.
+  EXPECT_EQ(testing::global_counter("plan.compiles"), compiles);
+  EXPECT_GT(testing::global_counter("plan.executions"), executions);
+  EXPECT_EQ(testing::global_counter("plan.fallbacks"), fallbacks);
+  EXPECT_GT(service.metrics_snapshot().gauge("serve.arena_bytes"), 0.0);
 
   const ServiceCounters c = service.counters();
   EXPECT_EQ(c.workers_lost, 1);

@@ -13,6 +13,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "obs/metrics.h"
 #include "runtime/fault.h"
 #include "serve/service.h"
 #include "tensor/tensor.h"
@@ -104,10 +105,16 @@ struct ServeScenarioOutcome {
   double elapsed_ms = 0.0;
 };
 
+// Current value of a process-global counter (the plan.* compile, cache and
+// execution counters live there); tests compare before/after deltas.
+inline int64_t global_counter(const std::string& name) {
+  return obs::MetricsRegistry::global().snapshot().counter(name);
+}
+
 // Block until every worker has finished plan warm-up (the serve.
 // workers_warmed gauge). Timing tests call this first: a worker still
-// compiling plans — slow under sanitizers — would otherwise hold its first
-// request past the test's sleeps and deadlines.
+// warming its arena — slow under sanitizers — would otherwise hold its
+// first request past the test's sleeps and deadlines.
 inline void wait_for_warm(const serve::InferenceService& service,
                           int64_t workers) {
   const auto give_up =
