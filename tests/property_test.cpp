@@ -2,6 +2,8 @@
 // the tensor kernels, autograd, and geometry utilities. Each property is
 // checked across a sweep of random shapes/seeds.
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,23 @@ struct ShapeCase {
   Shape b;  // broadcast-compatible with a
   uint64_t seed;
 };
+
+std::string dims(const Shape& shape) {
+  std::string out;
+  for (size_t i = 0; i < shape.size(); ++i) {
+    if (i > 0) out += 'x';
+    out += std::to_string(shape[i]);
+  }
+  return out;
+}
+
+// gtest prints a parameter without a PrintTo as a byte dump, which here holds
+// heap pointers; gtest_discover_tests puts that text in the ctest name, so
+// the names would change with every discovery. Print the case instead,
+// e.g. "a2x3x4_b3x4_seed3".
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << 'a' << dims(c.a) << "_b" << dims(c.b) << "_seed" << c.seed;
+}
 
 class ElementwiseAlgebra : public ::testing::TestWithParam<ShapeCase> {};
 
