@@ -152,8 +152,7 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
       c_shards_drained_(metrics_.counter("router.shards_drained")),
       c_shards_restored_(metrics_.counter("router.shards_restored")),
       h_latency_ms_(
-          metrics_.histogram("router.latency_ms", obs::latency_ms_bounds())),
-      g_inflight_(metrics_.gauge("router.inflight")) {
+          metrics_.histogram("router.latency_ms", obs::latency_ms_bounds())) {
   config_.num_shards = std::max<int64_t>(1, config_.num_shards);
   config_.health_interval_ms = std::max<int64_t>(1, config_.health_interval_ms);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
@@ -173,10 +172,11 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
     }
     entry.service =
         std::make_unique<InferenceService>(model, vocab, sc, programs);
+    entry.score_gauge =
+        &metrics_.gauge("router.shard" + std::to_string(i) + ".score");
     shards_.push_back(std::move(entry));
     ring_.add_node(i);
   }
-  completion_thread_ = std::thread([this] { completion_loop(); });
   health_thread_ = std::thread([this] { health_loop(); });
 }
 
@@ -238,21 +238,23 @@ Router::Pick Router::pick_shard(uint64_t key_hash,
   return soft;
 }
 
-void Router::dispatch(Job& job, Pick pick) {
+void Router::dispatch(const std::shared_ptr<Job>& job, Pick pick) {
   GroundRequest request;
-  request.image = job.image;  // storage is shared, not copied
-  request.query = job.query;
-  if (job.deadline == Clock::time_point::max()) {
+  request.image = job->image;  // storage is shared, not copied
+  request.query = job->query;
+  if (job->deadline == Clock::time_point::max()) {
     request.deadline_ms = 0;  // explicitly none (ignore the shard default)
   } else {
-    request.deadline_at = job.deadline;
+    request.deadline_at = job->deadline;
   }
-  job.attempt.shard = pick.shard;
-  job.attempt.probe = pick.probe;
-  job.attempt.future =
-      shards_[static_cast<size_t>(pick.shard)].service->submit(
-          std::move(request));
-  job.tried.push_back(pick.shard);
+  // Recorded before the submit: a refusal runs the completion, and with it
+  // any further failover, before submit() returns. From here on the job
+  // belongs to the completion, which may already be running elsewhere.
+  job->tried.push_back(pick.shard);
+  shards_[static_cast<size_t>(pick.shard)].service->submit(
+      std::move(request), [this, job, pick](GroundResponse response) {
+        advance_job(job, pick, std::move(response));
+      });
 }
 
 std::future<RouteResponse> Router::submit(RouteRequest request) {
@@ -260,12 +262,14 @@ std::future<RouteResponse> Router::submit(RouteRequest request) {
   const Clock::time_point now = Clock::now();
   const uint64_t key = key_for(request);
 
-  auto job = std::make_unique<Job>();
+  auto job = std::make_shared<Job>();
   job->key_hash = key;
   job->image = std::move(request.image);
   job->query = std::move(request.query);
   job->submitted_at = now;
   job->deadline = resolve_deadline(request, config_.default_deadline_ms, now);
+  // Taken before the first dispatch, which may settle the job.
+  std::future<RouteResponse> future = job->promise.get_future();
 
   Pick pick;
   {
@@ -284,9 +288,8 @@ std::future<RouteResponse> Router::submit(RouteRequest request) {
           c_rejected_.inc();
           break;
       }
-      std::future<RouteResponse> future = job->promise.get_future();
       job->promise.set_value(std::move(response));
-      return future;
+      return std::move(future);
     };
 
     if (!accepting_) {
@@ -301,21 +304,11 @@ std::future<RouteResponse> Router::submit(RouteRequest request) {
       return reject_now(Status::overloaded("no shard in rotation"));
     }
     if (pick.probe) c_probes_sent_.inc();
-    ++submitting_;  // holds the completion thread open until the push below
   }
 
   // Shard admission (O(pixels) validation, shard lock) happens outside the
   // router mutex so concurrent submitters do not serialise on it.
-  dispatch(*job, pick);
-
-  std::future<RouteResponse> future = job->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inflight_.push_back(std::move(job));
-    --submitting_;
-    g_inflight_.set(static_cast<double>(inflight_.size()));
-  }
-  cv_.notify_all();
+  dispatch(job, pick);
   return future;
 }
 
@@ -397,24 +390,25 @@ void Router::finish_job(Job& job, GroundResponse response, int64_t shard) {
         break;
     }
   }
-  job.done = true;
   job.promise.set_value(std::move(out));
 }
 
-bool Router::advance_job(Job& job, Clock::time_point now) {
-  Attempt& attempt = job.attempt;
-  if (attempt.future.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    return false;
-  }
-  GroundResponse response = attempt.future.get();
+void Router::advance_job(const std::shared_ptr<Job>& job, Pick pick,
+                         GroundResponse response) {
   const StatusCode code = response.status.code;
-
   if (code == StatusCode::kInvalidInput) {
     // The request itself is malformed; no shard can do better.
-    finish_job(job, std::move(response), attempt.shard);
-    return true;
+    finish_job(*job, std::move(response), pick.shard);
+    return;
   }
+  const bool ok = response.status.ok();
+  if (!ok && failure_precedence(code) >
+                 failure_precedence(job->last_failure.status.code)) {
+    job->last_failure = std::move(response);
+  }
+
+  const Clock::time_point now = Clock::now();
+  Pick next;
   {
     // A probe closes the half-open state only on a kOk answer. Only
     // kInternalError feeds the shard's failure streak: kOverloaded is
@@ -422,84 +416,36 @@ bool Router::advance_job(Job& job, Clock::time_point now) {
     // spike shrinks capacity exactly when it is scarcest (the weighted
     // queue-depth score already steers load away from deep queues).
     std::lock_guard<std::mutex> lock(mutex_);
-    note_shard_result(attempt.shard, code == StatusCode::kInternalError,
-                      attempt.probe, response.status.ok());
-  }
-  if (response.status.ok()) {
-    finish_job(job, std::move(response), attempt.shard);
-    return true;
-  }
-  if (failure_precedence(code) >
-      failure_precedence(job.last_failure.status.code)) {
-    job.last_failure = std::move(response);
-  }
-
-  // Fail over while the deadline and the ring allow — each shard is tried
-  // at most once, so a request fails over at most num_shards - 1 times;
-  // otherwise answer with the most truthful failure seen.
-  Pick next;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (now < job.deadline && retryable(job.last_failure.status.code)) {
-      next = pick_shard(job.key_hash, job.tried, now);
-    }
-    if (next.shard >= 0) {
-      c_failovers_.inc();
-      if (next.probe) c_probes_sent_.inc();
-    }
-  }
-  if (next.shard < 0) {
-    GroundResponse final = std::move(job.last_failure);
-    if (now >= job.deadline &&
-        final.status.code != StatusCode::kDeadlineExceeded) {
-      final.status =
-          Status::deadline_exceeded("deadline expired during failover");
-    }
-    finish_job(job, std::move(final), -1);
-    return true;
-  }
-  dispatch(job, next);
-  ++job.failovers;
-  return false;
-}
-
-void Router::completion_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (stopping_ && inflight_.empty() && submitting_ == 0) return;
-      if (inflight_.empty()) {
-        cv_.wait_for(lock, std::chrono::milliseconds(5), [this] {
-          return stopping_ || !inflight_.empty();
-        });
-        continue;
+    note_shard_result(pick.shard, code == StatusCode::kInternalError,
+                      pick.probe, ok);
+    // Fail over while the deadline and the ring allow — each shard is
+    // tried at most once, so a request fails over at most num_shards - 1
+    // times; otherwise answer with the most truthful failure seen.
+    if (!ok && now < job->deadline &&
+        retryable(job->last_failure.status.code)) {
+      next = pick_shard(job->key_hash, job->tried, now);
+      if (next.shard >= 0) {
+        c_failovers_.inc();
+        if (next.probe) c_probes_sent_.inc();
       }
     }
-    // Jobs are only appended by submit() and only mutated here; raw
-    // pointers stay valid because erasure happens below, on this thread.
-    std::vector<Job*> scan;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      scan.reserve(inflight_.size());
-      for (const auto& job : inflight_) scan.push_back(job.get());
-    }
-    bool any_done = false;
-    for (Job* job : scan) {
-      if (advance_job(*job, Clock::now())) any_done = true;
-    }
-    if (any_done) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
-                                     [](const std::unique_ptr<Job>& job) {
-                                       return job->done;
-                                     }),
-                      inflight_.end());
-      g_inflight_.set(static_cast<double>(inflight_.size()));
-    } else {
-      // Nothing resolved this scan; yield briefly instead of spinning.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
   }
+  if (ok) {
+    finish_job(*job, std::move(response), pick.shard);
+    return;
+  }
+  if (next.shard >= 0) {
+    ++job->failovers;
+    dispatch(job, next);
+    return;
+  }
+  GroundResponse final = std::move(job->last_failure);
+  if (now >= job->deadline &&
+      final.status.code != StatusCode::kDeadlineExceeded) {
+    final.status =
+        Status::deadline_exceeded("deadline expired during failover");
+  }
+  finish_job(*job, std::move(final), -1);
 }
 
 void Router::health_loop() {
@@ -534,8 +480,7 @@ void Router::health_loop() {
         entry.queue_depth = shard_health.queue_depth;
         entry.accepting = shard_health.accepting;
         entry.breaker_open = shard_health.breaker_open;
-        metrics_.gauge("router.shard" + std::to_string(i) + ".score")
-            .set(score);
+        entry.score_gauge->set(score);
         switch (entry.state) {
           case ShardState::kActive:
             entry.score = score;
@@ -589,11 +534,11 @@ void Router::stop() {
     stopping_ = true;
   }
   cv_.notify_all();
-  // The completion thread drains inflight_ before exiting (every shard
-  // future resolves — services answer everything), so join order matters:
-  // completion first, shards last.
-  if (completion_thread_.joinable()) completion_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
+  // A shard's stop() drains its queue and runs every completion before it
+  // returns. A failover out of a draining shard lands in a shard not yet
+  // stopped, which drains it in turn, or is refused at once by one already
+  // stopped; so once the last shard has stopped, every job has settled.
   for (ShardEntry& entry : shards_) {
     if (entry.service) entry.service->stop();
   }

@@ -14,7 +14,12 @@
 //                                       └──> next untried shard on the ring
 //
 // A request has at most one attempt in flight at a time; it fails over only
-// after that attempt returns a retryable failure.
+// after that attempt returns a retryable failure. Answers arrive by
+// continuation, not by polling: each attempt is submitted with a completion
+// that the shard runs when it settles the request — on the shard worker or
+// watchdog that answers it, or on the submitting thread when the shard
+// refuses at admission. That completion fails the request over or resolves
+// the router future, so the only router thread is the health thread:
 //
 //   health thread: scores every shard from health() + queue-depth gauges;
 //   a shard whose breaker opens or whose health degrades is taken out of
@@ -224,14 +229,8 @@ class Router {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // The one attempt a job has in flight: its shard, whether it is a
-  // half-open probe, and the shard's future.
-  struct Attempt {
-    int64_t shard = -1;
-    bool probe = false;
-    std::future<GroundResponse> future;
-  };
-
+  // One request across all its attempts. Shared by the completion of its
+  // one attempt in flight, which either finishes it or fails it over.
   struct Job {
     uint64_t key_hash = 0;
     Tensor image;
@@ -239,16 +238,15 @@ class Router {
     Clock::time_point submitted_at;
     Clock::time_point deadline;  // Clock::time_point::max() == none
     std::vector<int64_t> tried;
-    Attempt attempt;
     std::promise<RouteResponse> promise;
     int64_t failovers = 0;
     GroundResponse last_failure;  // best terminal answer if all routes fail
-    bool done = false;
   };
 
   struct ShardEntry {
     std::unique_ptr<runtime::FaultInjector> injector;
     std::unique_ptr<InferenceService> service;
+    obs::Gauge* score_gauge = nullptr;  // "router.shard<i>.score"
     ShardState state = ShardState::kActive;
     double score = 1.0;
     int64_t queue_depth = 0;
@@ -269,15 +267,16 @@ class Router {
                   Clock::time_point now);
 
   // Submits the job to `pick.shard` as its one attempt (image storage is
-  // shared, not copied) — called WITHOUT mutex_ held (shard admission
-  // validates O(pixels) and takes the shard lock).
-  void dispatch(Job& job, Pick pick);
+  // shared, not copied); the shard's completion runs advance_job. Called
+  // WITHOUT mutex_ held: shard admission validates O(pixels) and takes the
+  // shard lock, and a refusal runs the completion on this thread.
+  void dispatch(const std::shared_ptr<Job>& job, Pick pick);
 
-  void completion_loop();
   void health_loop();
-  // One completion poll of `job`'s attempt; returns true when the job
-  // finished.
-  bool advance_job(Job& job, Clock::time_point now);
+  // The completion of `job`'s attempt on `pick.shard`: shard feedback, then
+  // finish the job or fail it over to the next untried shard.
+  void advance_job(const std::shared_ptr<Job>& job, Pick pick,
+                   GroundResponse response);
   // Terminal accounting + promise resolution. Takes mutex_.
   void finish_job(Job& job, GroundResponse response, int64_t shard);
   // Shard outcome feedback (mutex_ held): failure streaks trip the shard
@@ -293,18 +292,12 @@ class Router {
   const data::Vocab* vocab_;
   std::vector<ShardEntry> shards_;
 
-  mutable std::mutex mutex_;  // ring, shard states, jobs, counters
+  mutable std::mutex mutex_;  // ring, shard states, counters
   std::condition_variable cv_;
   HashRing ring_;
-  std::vector<std::unique_ptr<Job>> inflight_;
-  // Submissions past admission but not yet in inflight_ (dispatch runs
-  // outside mutex_). The completion thread refuses to exit while any are
-  // pending, so a submit racing stop() can never strand its job.
-  int64_t submitting_ = 0;
   bool accepting_ = true;
   bool stopping_ = false;
 
-  std::thread completion_thread_;
   std::thread health_thread_;
 
   // Router registry; taxonomy counters only updated under mutex_ (coherent
@@ -321,7 +314,6 @@ class Router {
   obs::Counter& c_shards_drained_;
   obs::Counter& c_shards_restored_;
   obs::Histogram& h_latency_ms_;
-  obs::Gauge& g_inflight_;
 };
 
 // Flatten a router metrics snapshot ("router.*" names) into the flat

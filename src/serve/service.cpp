@@ -208,16 +208,14 @@ InferenceService::Clock::time_point InferenceService::resolve_deadline(
   return now + std::chrono::milliseconds(ms);
 }
 
-std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
+void InferenceService::submit(GroundRequest request, Completion done) {
   OBS_SPAN("serve.submit");
   const Clock::time_point now = Clock::now();
-  std::promise<GroundResponse> promise;
-  std::future<GroundResponse> future = promise.get_future();
 
-  // Admission rejections resolve the future immediately with a typed
-  // Status; they still count as submitted so the counter invariant holds.
-  const auto reject = [&](Status status,
-                          std::string normalised) -> std::future<GroundResponse> {
+  // Admission rejections are answered on this thread, before submit()
+  // returns, with a typed Status; they still count as submitted so the
+  // counter invariant holds.
+  const auto reject = [&](Status status, std::string normalised) {
     GroundResponse response;
     response.status = std::move(status);
     response.normalised_query = std::move(normalised);
@@ -227,8 +225,7 @@ std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
       c_submitted_.inc();
       record(response);
     }
-    promise.set_value(std::move(response));
-    return std::move(future);
+    done(std::move(response));
   };
 
   // Input validation happens before the request can consume a queue slot
@@ -256,47 +253,48 @@ std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
   const uint64_t image_hash =
       cache_.enabled() ? FeatureCache::hash_image(request.image) : 0;
 
+  Status refusal;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    c_submitted_.inc();
     if (!accepting_) {
-      GroundResponse response;
-      response.status = Status::overloaded("service is stopped or paused");
-      response.normalised_query = std::move(query.normalised);
-      response.latency_ms = ms_since(now);
-      record(response);
-      promise.set_value(std::move(response));
-      return future;
-    }
-    if (static_cast<int64_t>(queue_.size()) >= config_.queue_capacity) {
+      refusal = Status::overloaded("service is stopped or paused");
+    } else if (static_cast<int64_t>(queue_.size()) >=
+               config_.queue_capacity) {
       // Backpressure: reject, never grow. The client sees a typed
       // kOverloaded and can shed load or retry with jitter.
-      GroundResponse response;
-      response.status = Status::overloaded(
-          "admission queue full (capacity " +
-          std::to_string(config_.queue_capacity) + ")");
-      response.normalised_query = std::move(query.normalised);
-      response.latency_ms = ms_since(now);
-      record(response);
-      promise.set_value(std::move(response));
-      return future;
+      refusal = Status::overloaded("admission queue full (capacity " +
+                                   std::to_string(config_.queue_capacity) +
+                                   ")");
+    } else {
+      c_submitted_.inc();
+      Job job;
+      job.image = std::move(request.image);
+      job.tokens = std::move(query.tokens);
+      job.normalised_query = std::move(query.normalised);
+      job.deadline = deadline;
+      job.cancel = std::move(request.cancel);
+      job.image_hash = image_hash;
+      job.state = std::make_shared<JobState>();
+      job.state->done = std::move(done);
+      job.state->submitted_at = now;
+      queue_.push_back(std::move(job));
+      const double depth = static_cast<double>(queue_.size());
+      g_queue_high_water_.set_max(depth);
+      h_queue_depth_.observe(depth);
     }
-    Job job;
-    job.image = std::move(request.image);
-    job.tokens = std::move(query.tokens);
-    job.normalised_query = std::move(query.normalised);
-    job.submitted_at = now;
-    job.deadline = deadline;
-    job.cancel = std::move(request.cancel);
-    job.image_hash = image_hash;
-    job.state = std::make_shared<JobState>();
-    job.state->promise = std::move(promise);
-    queue_.push_back(std::move(job));
-    const double depth = static_cast<double>(queue_.size());
-    g_queue_high_water_.set_max(depth);
-    h_queue_depth_.observe(depth);
+  }
+  if (!refusal.ok()) {
+    return reject(std::move(refusal), std::move(query.normalised));
   }
   cv_.notify_one();
+}
+
+std::future<GroundResponse> InferenceService::submit(GroundRequest request) {
+  auto promise = std::make_shared<std::promise<GroundResponse>>();
+  std::future<GroundResponse> future = promise->get_future();
+  submit(std::move(request), [promise](GroundResponse response) {
+    promise->set_value(std::move(response));
+  });
   return future;
 }
 
@@ -406,7 +404,7 @@ void InferenceService::worker_loop(Worker* self) {
       if (take < static_cast<int64_t>(formation_hists_.size())) {
         formation_hists_[static_cast<size_t>(take)]->observe(
             std::chrono::duration<double, std::milli>(
-                now - queue_.front().submitted_at)
+                now - queue_.front().state->submitted_at)
                 .count());
       }
       batch.reserve(static_cast<size_t>(take));
@@ -452,20 +450,20 @@ void InferenceService::process_batch(Worker& self, std::vector<Job>& batch) {
   std::vector<Job*> live;
   live.reserve(batch.size());
   for (Job& job : batch) {
-    h_queue_wait_ms_.observe(
-        std::chrono::duration<double, std::milli>(now - job.submitted_at)
-            .count());
+    h_queue_wait_ms_.observe(std::chrono::duration<double, std::milli>(
+                                 now - job.state->submitted_at)
+                                 .count());
     if (job.cancel != nullptr && job.cancel->requested()) {
       GroundResponse response;
       response.normalised_query = job.normalised_query;
       response.status = Status::cancelled("cancelled while queued");
-      finish(job, std::move(response));
+      settle(*job.state, std::move(response));
     } else if (now >= job.deadline) {
       GroundResponse response;
       response.normalised_query = job.normalised_query;
       response.status =
           Status::deadline_exceeded("deadline expired while queued");
-      finish(job, std::move(response));
+      settle(*job.state, std::move(response));
     } else {
       live.push_back(&job);
     }
@@ -492,7 +490,7 @@ void InferenceService::process_batch(Worker& self, std::vector<Job>& batch) {
     GroundResponse response;
     response.normalised_query = job->normalised_query;
     response.status = Status::internal("circuit breaker open");
-    finish(*job, std::move(response));
+    settle(*job->state, std::move(response));
   }
 
   if (model_jobs.empty()) return;
@@ -507,7 +505,7 @@ void InferenceService::run_single(Worker& self, Job& job, CacheProbe probe) {
   GroundResponse response;
   response.normalised_query = job.normalised_query;
   run_model_tier(self, job, response, std::move(probe));
-  finish(job, std::move(response));
+  settle(*job.state, std::move(response));
 }
 
 void InferenceService::run_batched_model_tier(Worker& self,
@@ -682,7 +680,7 @@ void InferenceService::run_batch_group(Worker& self,
       response.status = Status::ok_status();
       response.box = outcome.element_boxes[static_cast<size_t>(i)];
     }
-    finish(job, std::move(response));
+    settle(*job.state, std::move(response));
   }
   for (int64_t i : salvage) {
     run_single(self, *jobs[static_cast<size_t>(i)], salvage_probe(i));
@@ -906,28 +904,22 @@ void InferenceService::note_forward_cost(int64_t k, double forward_ms) {
   ewma = ewma > 0.0 ? 0.7 * ewma + 0.3 * forward_ms : forward_ms;
 }
 
-void InferenceService::finish(Job& job, GroundResponse response) {
+void InferenceService::settle(JobState& state, GroundResponse response) {
   // Claim the settlement: if the watchdog already failed this request while
   // its worker was wedged, the worker's late answer is dropped on the floor
-  // (accounted exactly once, promise fulfilled exactly once).
-  if (job.state->settled.exchange(true)) return;
-  response.latency_ms = ms_since(job.submitted_at);
+  // (accounted exactly once, completion run exactly once).
+  if (state.settled.exchange(true)) return;
+  response.latency_ms = ms_since(state.submitted_at);
   h_latency_ms_.observe(response.latency_ms);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     c_retries_.inc(response.retries);
     record(response);
   }
-  job.state->promise.set_value(std::move(response));
-}
-
-void InferenceService::settle(JobState& state, GroundResponse response) {
-  if (state.settled.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    record(response);
-  }
-  state.promise.set_value(std::move(response));
+  // Only the claimant reaches here, so the completion can be moved out:
+  // whatever it captured is released once it returns.
+  Completion done = std::move(state.done);
+  done(std::move(response));
 }
 
 void InferenceService::record(const GroundResponse& response) {
@@ -1018,8 +1010,11 @@ void InferenceService::watchdog_loop() {
       } else if (w->kicked &&
                  w->stalled_polls >= config_.watchdog_grace_intervals) {
         // The kick went unobserved past the grace period: the worker is
-        // stuck somewhere no checkpoint is polled. Declare it lost.
+        // stuck somewhere no checkpoint is polled. Declare it lost. The
+        // reap runs completions, which must hold no service lock.
+        lk.unlock();
         reap_worker(w);
+        lk.lock();
       }
     }
   }

@@ -49,6 +49,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -187,8 +188,8 @@ struct GroundResponse {
   double latency_ms = 0.0;  // submit() to completion
 };
 
-// Monotonic per-service counters. Invariant once all submitted futures
-// have resolved:
+// Monotonic per-service counters. Invariant once every submitted request
+// has been answered:
 //   served + rejected + deadline_exceeded + failed + cancelled == submitted
 // (cancelled is 0 unless CancelTokens or the watchdog fire, so the
 // original four-term form still holds in those runs). The authoritative
@@ -266,9 +267,17 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  // Admission: validate, stamp the deadline, enqueue. The returned future
-  // always resolves — with a typed error Status on rejection (immediately)
-  // or the worker pool's answer. Never throws on bad input or overload.
+  // Receives a request's terminal response.
+  using Completion = std::function<void(GroundResponse)>;
+
+  // Admission: validate, stamp the deadline, enqueue. `done` runs exactly
+  // once, after the response is counted and with no service lock held: on
+  // the calling thread before submit() returns when admission rejects
+  // (typed Status), otherwise on the worker that answers the request or on
+  // the watchdog that reaps that worker, so it must not stop() this
+  // service. Never throws on bad input or overload.
+  void submit(GroundRequest request, Completion done);
+  // The same, answered through a future that always resolves.
   std::future<GroundResponse> submit(GroundRequest request);
 
   // submit() + wait.
@@ -307,11 +316,12 @@ class InferenceService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // Shared settlement state: the promise plus a claim flag, so the worker
-  // and the watchdog (which may fail a wedged worker's request while that
-  // worker is still stuck inside it) settle each request exactly once.
+  // Shared settlement state: the completion plus a claim flag, so the
+  // worker and the watchdog (which may fail a wedged worker's request while
+  // that worker is still stuck inside it) settle each request exactly once.
   struct JobState {
-    std::promise<GroundResponse> promise;
+    Completion done;
+    Clock::time_point submitted_at;
     std::atomic<bool> settled{false};
   };
 
@@ -319,10 +329,9 @@ class InferenceService {
     Tensor image;  // [3, H, W]
     std::vector<int64_t> tokens;
     std::string normalised_query;
-    Clock::time_point submitted_at;
     Clock::time_point deadline;  // Clock::time_point::max() == none
     std::shared_ptr<CancelToken> cancel;  // null = not cancellable
-    std::shared_ptr<JobState> state;
+    std::shared_ptr<JobState> state;      // never null
     // Content hash of `image` (FeatureCache::hash_image), computed once at
     // admission so workers never re-scan the pixels. 0 when the cache is
     // disabled.
@@ -382,7 +391,7 @@ class InferenceService {
   // either the single-image path or a coalesced batched forward.
   void process_batch(Worker& self, std::vector<Job>& batch);
   // Full single-request pipeline through the model tier (retries); always
-  // finishes the job. Also the salvage path for an element that failed
+  // settles the job. Also the salvage path for an element that failed
   // inside a coalesced forward.
   void run_single(Worker& self, Job& job, CacheProbe probe = CacheProbe());
   // Batched dispatch for >= 2 jobs: partitions into a cache-hit group
@@ -401,10 +410,10 @@ class InferenceService {
   // the full path. Always leaves a final status in `response`.
   void run_model_tier(Worker& self, Job& job, GroundResponse& response,
                       CacheProbe probe = CacheProbe());
-  // Fulfil the job's promise and account the response (no-op when the
-  // watchdog already settled it).
-  void finish(Job& job, GroundResponse response);
-  // Settle an arbitrary JobState exactly once (reap path).
+  // The one settlement path: claim `state`, stamp the latency, account the
+  // response, then run the completion outside mutex_. A no-op when the
+  // request was already settled (a wedged worker's late answer after the
+  // watchdog failed it).
   void settle(JobState& state, GroundResponse response);
   // Classify a terminal response into the counter taxonomy.
   void record(const GroundResponse& response);

@@ -257,6 +257,11 @@ TEST(RouterTest, StopRejectsNewAndResolvesEverything) {
   FaultGuard guard;
   RouterHarness h;
   Router router(h.model, h.vocab, h.frozen_config());
+  // Shard 0 fails every forward, so its keys are still failing over to the
+  // other shards while stop() drains them.
+  runtime::FaultInjector::Config fc;
+  fc.fail_forward_count = 1000;
+  router.shard_injector(0)->configure(fc);
 
   std::vector<std::future<RouteResponse>> futures;
   for (int i = 0; i < 12; ++i) {
@@ -273,7 +278,33 @@ TEST(RouterTest, StopRejectsNewAndResolvesEverything) {
   }
   const RouteResponse late = router.route(h.request("late"));
   EXPECT_EQ(late.status.code, StatusCode::kOverloaded);
-  expect_invariant(router.counters());
+  const RouterCounters counters = router.counters();
+  EXPECT_EQ(counters.submitted, 13);
+  EXPECT_GE(counters.failovers, 1);
+  expect_invariant(counters);
+}
+
+TEST(RouterTest, RefusedEverywhereSettlesBeforeSubmitReturns) {
+  FaultGuard guard;
+  RouterHarness h;
+  Router router(h.model, h.vocab, h.frozen_config());
+  for (int64_t s = 0; s < router.num_shards(); ++s) router.kill_shard(s);
+
+  // Every shard refuses at admission, so the owner's refusal and both
+  // failovers all run on this thread, inside submit().
+  std::future<RouteResponse> future = router.submit(h.request("refused"));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const RouteResponse response = future.get();
+  EXPECT_EQ(response.status.code, StatusCode::kOverloaded);
+  EXPECT_EQ(response.failovers, 2);
+  EXPECT_EQ(response.shard, -1);
+
+  const RouterCounters counters = router.counters();
+  EXPECT_EQ(counters.submitted, 1);
+  EXPECT_EQ(counters.rejected, 1);
+  EXPECT_EQ(counters.failovers, 2);
+  expect_invariant(counters);
 }
 
 // --- failover ---------------------------------------------------------------

@@ -598,6 +598,96 @@ TEST(ServiceTest, HealthSnapshotReflectsLifecycle) {
   EXPECT_NE(response.status.message.find("stopped"), std::string::npos);
 }
 
+// --- completion continuation ----------------------------------------------
+
+// What one completion saw: how often it ran, and at its first run the
+// response and the counters read from inside it.
+struct CompletionProbe {
+  std::atomic<int> calls{0};
+  GroundResponse response;
+  ServiceCounters counters;
+  std::promise<void> ran;
+};
+
+InferenceService::Completion probe_completion(InferenceService& service,
+                                              CompletionProbe& probe) {
+  return [&service, &probe](GroundResponse response) {
+    if (probe.calls.fetch_add(1) != 0) return;
+    // counters() takes the service lock, so this would deadlock if the
+    // completion ran with that lock held.
+    probe.counters = service.counters();
+    probe.response = std::move(response);
+    probe.ran.set_value();
+  };
+}
+
+TEST(ServiceCompletionTest, RunsOnceUnlockedAfterItsOutcomeIsCounted) {
+  FaultGuard guard;
+  ServeHarness h;
+  runtime::FaultInjector injector;
+  runtime::FaultInjector::Config fc;
+  // The first forward stalls past every checkpoint, so the watchdog reaps
+  // its worker and settles the request; the wedged thread's late answer
+  // must then be dropped.
+  fc.wedge_forward_ms = 1200;
+  fc.wedge_forward_count = 1;
+  injector.configure(fc);
+
+  ServeConfig sc;
+  sc.num_workers = 1;
+  sc.max_retries = 0;
+  sc.watchdog_interval_ms = 20;
+  sc.watchdog_stall_intervals = 1;
+  sc.watchdog_grace_intervals = 2;
+  sc.fault_injector = &injector;
+  InferenceService service(h.model, h.vocab, sc);
+  testing::wait_for_warm(service, 1);
+  const auto wait = std::chrono::seconds(60 * kTimeScale);
+
+  // Rejected at admission: settled on this thread before submit() returns.
+  CompletionProbe rejected;
+  GroundRequest bad_shape = h.request();
+  bad_shape.image = Tensor::rand({3, 8, 8}, h.rng);
+  service.submit(std::move(bad_shape), probe_completion(service, rejected));
+  ASSERT_EQ(rejected.calls.load(), 1);
+  EXPECT_EQ(rejected.response.status.code, StatusCode::kInvalidInput);
+  EXPECT_EQ(rejected.counters.submitted, 1);
+  EXPECT_EQ(rejected.counters.rejected_invalid, 1);
+  testing::expect_serve_invariant(rejected.counters);
+
+  // Held by the wedged worker: settled by the watchdog's reap.
+  CompletionProbe reaped;
+  std::future<void> reaped_ran = reaped.ran.get_future();
+  service.submit(h.request(), probe_completion(service, reaped));
+  ASSERT_EQ(reaped_ran.wait_for(wait), std::future_status::ready)
+      << "the reaped request's completion never ran";
+  EXPECT_EQ(reaped.response.status.code, StatusCode::kInternalError)
+      << reaped.response.status.to_string();
+  EXPECT_GT(reaped.response.latency_ms, 0.0);
+  EXPECT_EQ(reaped.counters.submitted, 2);
+  EXPECT_EQ(reaped.counters.failed, 1);
+  testing::expect_serve_invariant(reaped.counters);
+
+  // Served by the replacement worker.
+  CompletionProbe served;
+  std::future<void> served_ran = served.ran.get_future();
+  service.submit(h.request(), probe_completion(service, served));
+  ASSERT_EQ(served_ran.wait_for(wait), std::future_status::ready)
+      << "the served request's completion never ran";
+  EXPECT_TRUE(served.response.status.ok())
+      << served.response.status.to_string();
+  EXPECT_EQ(served.counters.submitted, 3);
+  EXPECT_EQ(served.counters.served, 1);
+  testing::expect_serve_invariant(served.counters);
+
+  // stop() joins the wedged thread too, after its late answer was dropped.
+  service.stop();
+  EXPECT_EQ(rejected.calls.load(), 1);
+  EXPECT_EQ(reaped.calls.load(), 1);
+  EXPECT_EQ(served.calls.load(), 1);
+  testing::expect_serve_invariant(service.counters());
+}
+
 // --- micro-batching ---------------------------------------------------------
 
 TEST(ServiceBatchingTest, BacklogIsCoalescedAndEveryRequestAnswered) {
