@@ -44,6 +44,12 @@ int failure_precedence(StatusCode code) {
   }
 }
 
+// An ACTIVE shard keeps its own keys while it scores at least this: its
+// load score 1 - 0.5 * min(1, outstanding / queue_capacity) stays here up
+// to half a queue of unsettled attempts. Below it, a less loaded successor
+// takes the request.
+constexpr double kSoftScore = 0.75;
+
 bool retryable(StatusCode code) {
   // kResourceExhausted is shard-local memory pressure: another shard's
   // worker pools may well have the headroom. kCancelled is not retried —
@@ -154,7 +160,6 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
       h_latency_ms_(
           metrics_.histogram("router.latency_ms", obs::latency_ms_bounds())) {
   config_.num_shards = std::max<int64_t>(1, config_.num_shards);
-  config_.health_interval_ms = std::max<int64_t>(1, config_.health_interval_ms);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
   // One Program set for the whole fleet, compiled here before any shard
   // starts: every shard's workers execute the same instances.
@@ -166,18 +171,13 @@ Router::Router(core::YolloModel& model, const data::Vocab& vocab,
     // Distinct replica-construction seeds per shard; identical weights are
     // copied in from `model` regardless.
     sc.seed = config_.shard.seed + static_cast<uint64_t>(i) * 7919u;
-    if (config_.scoped_faults) {
-      entry.injector = std::make_unique<runtime::FaultInjector>();
-      sc.fault_injector = entry.injector.get();
-    }
+    entry.injector = std::make_unique<runtime::FaultInjector>();
+    sc.fault_injector = entry.injector.get();
     entry.service =
         std::make_unique<InferenceService>(model, vocab, sc, programs);
-    entry.score_gauge =
-        &metrics_.gauge("router.shard" + std::to_string(i) + ".score");
     shards_.push_back(std::move(entry));
     ring_.add_node(i);
   }
-  health_thread_ = std::thread([this] { health_loop(); });
 }
 
 Router::~Router() { stop(); }
@@ -213,19 +213,37 @@ Router::Pick Router::pick_shard(uint64_t key_hash,
                                 const std::vector<int64_t>& tried,
                                 Clock::time_point now) {
   // Ring order from the key's owner, so locality is preserved whenever the
-  // owner is healthy. Weighted routing: an ACTIVE shard below soft_score
-  // (deep queue, open breaker about to drain) only keeps the request if no
-  // later candidate scores higher. A PROBING shard owns its half-open
+  // owner is healthy. Weighted routing: an ACTIVE shard below kSoftScore
+  // (more than half a queue of unsettled attempts) only keeps the request
+  // if no later candidate scores higher. A PROBING shard owns its half-open
   // trickle: one request per probe interval, only for keys it would own.
   Pick soft;
   double soft_best = -1.0;
   for (const int64_t id : ring_.walk(key_hash)) {
     if (std::find(tried.begin(), tried.end(), id) != tried.end()) continue;
     ShardEntry& entry = shards_[static_cast<size_t>(id)];
+    if (entry.state == ShardState::kDraining && entry.outstanding == 0 &&
+        now - entry.drained_at >=
+            std::chrono::milliseconds(config_.drain_cooldown_ms)) {
+      // Cooled and settled: reopen it half-open. A stop()ped shard refuses,
+      // and is asked again only after another cooldown.
+      if (entry.service->resume_admission()) {
+        entry.state = ShardState::kProbing;
+        entry.next_probe_at = now;
+      } else {
+        entry.drained_at = now;
+      }
+    }
     if (entry.state == ShardState::kActive) {
-      if (entry.score >= config_.soft_score) return Pick{id, false};
-      if (entry.score > soft_best) {
-        soft_best = entry.score;
+      // The service clamps queue_capacity to at least 1.
+      const double capacity =
+          static_cast<double>(entry.service->config().queue_capacity);
+      const double score =
+          1.0 - 0.5 * std::min(1.0, static_cast<double>(entry.outstanding) /
+                                        capacity);
+      if (score >= kSoftScore) return Pick{id, false};
+      if (score > soft_best) {
+        soft_best = score;
         soft = Pick{id, false};
       }
     } else if (entry.state == ShardState::kProbing &&
@@ -303,6 +321,7 @@ std::future<RouteResponse> Router::submit(RouteRequest request) {
     if (pick.shard < 0) {
       return reject_now(Status::overloaded("no shard in rotation"));
     }
+    ++shards_[static_cast<size_t>(pick.shard)].outstanding;
     if (pick.probe) c_probes_sent_.inc();
   }
 
@@ -316,6 +335,13 @@ RouteResponse Router::route(RouteRequest request) {
   return submit(std::move(request)).get();
 }
 
+void Router::drain_locked(ShardEntry& entry, Clock::time_point now) {
+  entry.state = ShardState::kDraining;
+  entry.drained_at = now;
+  c_shards_drained_.inc();
+  entry.service->pause_admission();
+}
+
 void Router::note_shard_result(int64_t shard, bool retryable_failure,
                                bool probe, bool probe_ok) {
   ShardEntry& entry = shards_[static_cast<size_t>(shard)];
@@ -324,19 +350,13 @@ void Router::note_shard_result(int64_t shard, bool retryable_failure,
     if (probe_ok) {
       if (entry.state == ShardState::kProbing) {
         entry.state = ShardState::kActive;
-        entry.score = 1.0;
         c_shards_restored_.inc();
       }
       entry.consecutive_failures = 0;
     } else {
       c_probes_failed_.inc();
-      if (entry.state == ShardState::kProbing) {
-        // Half-open contract: one failed probe re-drains immediately.
-        entry.state = ShardState::kDraining;
-        entry.drained_at = now;
-        c_shards_drained_.inc();
-        entry.service->pause_admission();
-      }
+      // Half-open contract: one failed probe re-drains immediately.
+      if (entry.state == ShardState::kProbing) drain_locked(entry, now);
     }
     return;
   }
@@ -344,10 +364,7 @@ void Router::note_shard_result(int64_t shard, bool retryable_failure,
     ++entry.consecutive_failures;
     if (entry.state == ShardState::kActive &&
         entry.consecutive_failures >= config_.shard_failure_threshold) {
-      entry.state = ShardState::kDraining;
-      entry.drained_at = now;
-      c_shards_drained_.inc();
-      entry.service->pause_admission();
+      drain_locked(entry, now);
     }
   } else {
     entry.consecutive_failures = 0;
@@ -413,9 +430,10 @@ void Router::advance_job(const std::shared_ptr<Job>& job, Pick pick,
     // A probe closes the half-open state only on a kOk answer. Only
     // kInternalError feeds the shard's failure streak: kOverloaded is
     // backpressure, not sickness — evicting a busy shard during a load
-    // spike shrinks capacity exactly when it is scarcest (the weighted
-    // queue-depth score already steers load away from deep queues).
+    // spike shrinks capacity exactly when it is scarcest (the load score
+    // already steers requests away from a shard with a deep backlog).
     std::lock_guard<std::mutex> lock(mutex_);
+    --shards_[static_cast<size_t>(pick.shard)].outstanding;
     note_shard_result(pick.shard, code == StatusCode::kInternalError,
                       pick.probe, ok);
     // Fail over while the deadline and the ring allow — each shard is
@@ -425,6 +443,7 @@ void Router::advance_job(const std::shared_ptr<Job>& job, Pick pick,
         retryable(job->last_failure.status.code)) {
       next = pick_shard(job->key_hash, job->tried, now);
       if (next.shard >= 0) {
+        ++shards_[static_cast<size_t>(next.shard)].outstanding;
         c_failovers_.inc();
         if (next.probe) c_probes_sent_.inc();
       }
@@ -448,93 +467,11 @@ void Router::advance_job(const std::shared_ptr<Job>& job, Pick pick,
   finish_job(*job, std::move(final), -1);
 }
 
-void Router::health_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (stopping_) return;
-      cv_.wait_for(lock,
-                   std::chrono::milliseconds(config_.health_interval_ms),
-                   [this] { return stopping_; });
-      if (stopping_) return;
-    }
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      ShardEntry& entry = shards_[i];
-      // Service reads happen without the router mutex (lock order is always
-      // router -> shard, never the reverse).
-      const HealthSnapshot shard_health = entry.service->health();
-      const double capacity = static_cast<double>(
-          std::max<int64_t>(1, entry.service->config().queue_capacity));
-      const double utilisation =
-          std::min(1.0, static_cast<double>(shard_health.queue_depth) /
-                            capacity);
-      double score = 0.0;
-      if (shard_health.accepting) {
-        score = (shard_health.breaker_open ? 0.4 : 1.0) *
-                (1.0 - 0.5 * utilisation);
-      }
-
-      bool try_resume = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entry.queue_depth = shard_health.queue_depth;
-        entry.accepting = shard_health.accepting;
-        entry.breaker_open = shard_health.breaker_open;
-        entry.score_gauge->set(score);
-        switch (entry.state) {
-          case ShardState::kActive:
-            entry.score = score;
-            if (score < config_.drain_score) {
-              entry.state = ShardState::kDraining;
-              entry.drained_at = Clock::now();
-              c_shards_drained_.inc();
-              // pause below (outside the switch the service call is still
-              // under mutex_; consistent router->shard order, no cycle).
-              entry.service->pause_admission();
-            }
-            break;
-          case ShardState::kDraining: {
-            entry.score = 0.0;
-            const bool drained = shard_health.queue_depth == 0;
-            const bool cooled =
-                Clock::now() - entry.drained_at >=
-                std::chrono::milliseconds(config_.drain_cooldown_ms);
-            if (drained && cooled) try_resume = true;
-            break;
-          }
-          case ShardState::kProbing:
-            entry.score = score;
-            if (!shard_health.accepting) {
-              // Killed (or re-paused) while probing: back to draining.
-              entry.state = ShardState::kDraining;
-              entry.drained_at = Clock::now();
-              c_shards_drained_.inc();
-            }
-            break;
-        }
-      }
-      if (try_resume) {
-        // resume_admission() is refused by a stop()ped shard — a dead shard
-        // stays DRAINING and receives no probes.
-        const bool resumed = entry.service->resume_admission();
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (resumed && entry.state == ShardState::kDraining) {
-          entry.state = ShardState::kProbing;
-          entry.next_probe_at = Clock::now();
-        }
-      }
-    }
-  }
-}
-
 void Router::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     accepting_ = false;
-    stopping_ = true;
   }
-  cv_.notify_all();
-  if (health_thread_.joinable()) health_thread_.join();
   // A shard's stop() drains its queue and runs every completion before it
   // returns. A failover out of a draining shard lands in a shard not yet
   // stopped, which drains it in turn, or is refused at once by one already
@@ -557,10 +494,21 @@ runtime::FaultInjector* Router::shard_injector(int64_t i) {
 }
 
 void Router::kill_shard(int64_t i) {
-  // Chaos hook: the shard's stop() drains its queue (every queued request
-  // is still answered); the health loop sees accepting == false and routes
-  // around it; in-flight router attempts on it resolve and fail over.
-  shards_[static_cast<size_t>(i)].service->stop();
+  ShardEntry& entry = shards_[static_cast<size_t>(i)];
+  const auto drain = [&] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (entry.state == ShardState::kDraining) return;
+    drain_locked(entry, Clock::now());
+  };
+  // Out of rotation first, so no new attempt is routed to a dying shard.
+  // stop() runs with no router lock held: it joins workers whose
+  // completions take mutex_. Its drain still answers every queued request,
+  // and attempts it refuses fail over.
+  drain();
+  entry.service->stop();
+  // A probe that reopened the shard between the two steps may have been
+  // answered by the drain and restored it; a stopped shard stays out.
+  drain();
 }
 
 obs::MetricsSnapshot Router::metrics_snapshot() const {
@@ -598,10 +546,7 @@ RouterHealth Router::health() const {
     ShardHealth info;
     info.id = static_cast<int64_t>(i);
     info.state = entry.state;
-    info.score = entry.score;
-    info.queue_depth = entry.queue_depth;
-    info.accepting = entry.accepting;
-    info.breaker_open = entry.breaker_open;
+    info.outstanding = entry.outstanding;
     info.consecutive_failures = entry.consecutive_failures;
     if (entry.state == ShardState::kActive) ++health.in_rotation;
     health.shards.push_back(info);

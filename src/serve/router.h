@@ -19,12 +19,18 @@
 // that the shard runs when it settles the request — on the shard worker or
 // watchdog that answers it, or on the submitting thread when the shard
 // refuses at admission. That completion fails the request over or resolves
-// the router future, so the only router thread is the health thread:
+// the router future. The router starts no thread of its own, and it never
+// reads a shard's health(): it judges each shard only from the attempts it
+// dispatches and the answers it settles.
 //
-//   health thread: scores every shard from health() + queue-depth gauges;
-//   a shard whose breaker opens or whose health degrades is taken out of
-//   rotation, drained (queued work still answered), and probed back in
-//   half-open — one real request at a time; a failed probe re-drains it.
+//   load: attempts dispatched to a shard and not yet settled. An owner past
+//   half its queue capacity hands the request to a less loaded successor.
+//   drain: a streak of kInternalError answers (an open shard breaker
+//   answers nothing else), a failed probe, or kill_shard() takes the shard
+//   out of rotation; queued work is still answered.
+//   probe: once a drained shard has cooled down and settled everything,
+//   the next request that walks past it reopens it half-open — one real
+//   request at a time; a kOk answer restores it, a failure re-drains it.
 //
 // Consistent hashing by image id preserves backbone-feature locality per
 // shard (one image, many queries lands on one shard's future feature
@@ -42,14 +48,12 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/fault.h"
@@ -89,29 +93,18 @@ class HashRing {
 struct RouterConfig {
   int64_t num_shards = 3;
   // Template for every shard's service; seed is offset per shard so replica
-  // construction differs, and fault_injector is overridden per shard when
-  // scoped_faults is set.
+  // construction differs, and every shard gets its own FaultInjector.
   ServeConfig shard;
   int64_t vnodes = 64;
   // Router-level default deadline for requests that do not carry their own
   // (same semantics as ServeConfig::default_deadline_ms).
   int64_t default_deadline_ms = 0;
 
-  // Health manager.
-  int64_t health_interval_ms = 2;   // shard scoring/probing poll period
-  double soft_score = 0.75;         // below: prefer a healthier successor
-  double drain_score = 0.5;         // below: out of rotation, drain
+  // Shard drain and half-open probing.
   int64_t shard_failure_threshold = 3;  // consecutive router-visible
                                         // failures that trip a shard out
   int64_t drain_cooldown_ms = 20;   // min drained time before probing
   int64_t probe_interval_ms = 10;   // half-open: one probe per interval
-
-  // Per-shard scoped FaultInjector instances (chaos can then hit one shard;
-  // the env-driven global injector no longer reaches these workers). Off =
-  // all shards consume the process-wide injector, as before PR 6.
-  bool scoped_faults = true;
-
-  uint64_t seed = 1234;
 };
 
 struct RouteRequest {
@@ -163,10 +156,7 @@ const char* shard_state_name(ShardState state);
 struct ShardHealth {
   int64_t id = -1;
   ShardState state = ShardState::kActive;
-  double score = 0.0;
-  int64_t queue_depth = 0;
-  bool accepting = false;
-  bool breaker_open = false;
+  int64_t outstanding = 0;  // attempts dispatched and not yet settled
   int64_t consecutive_failures = 0;
 };
 
@@ -203,11 +193,13 @@ class Router {
   // --- introspection / chaos hooks ----------------------------------------
   int64_t num_shards() const;
   InferenceService& shard(int64_t i);
-  // The shard's scoped injector (null unless config.scoped_faults).
+  // The shard's own scoped injector (the process-wide one never reaches
+  // shard workers).
   runtime::FaultInjector* shard_injector(int64_t i);
-  // Chaos: stop() the shard's service mid-run. The router's health loop
-  // sees the death and routes around it; in-flight requests on the shard
-  // are still answered (stop drains) or failed over.
+  // Chaos: take the shard out of rotation, then stop() its service. Its
+  // keys go to the ring successors; in-flight requests on the shard are
+  // still answered (stop drains) or failed over. A stopped shard refuses
+  // every probe, so it never comes back.
   void kill_shard(int64_t i);
 
   // The hash key submit() would use for this request, and the shard the
@@ -246,19 +238,16 @@ class Router {
   struct ShardEntry {
     std::unique_ptr<runtime::FaultInjector> injector;
     std::unique_ptr<InferenceService> service;
-    obs::Gauge* score_gauge = nullptr;  // "router.shard<i>.score"
     ShardState state = ShardState::kActive;
-    double score = 1.0;
-    int64_t queue_depth = 0;
-    bool accepting = true;
-    bool breaker_open = false;
+    int64_t outstanding = 0;  // attempts dispatched, not yet settled
     int64_t consecutive_failures = 0;
     Clock::time_point drained_at{};
     Clock::time_point next_probe_at{};
   };
 
   // Routing decision for one request/failover: shard id (-1 = none) and
-  // whether the pick is a half-open probe. Caller holds mutex_.
+  // whether the pick is a half-open probe. Caller holds mutex_; a drained
+  // shard the walk passes may be reopened (router -> shard lock order).
   struct Pick {
     int64_t shard = -1;
     bool probe = false;
@@ -272,7 +261,6 @@ class Router {
   // shard lock, and a refusal runs the completion on this thread.
   void dispatch(const std::shared_ptr<Job>& job, Pick pick);
 
-  void health_loop();
   // The completion of `job`'s attempt on `pick.shard`: shard feedback, then
   // finish the job or fail it over to the next untried shard.
   void advance_job(const std::shared_ptr<Job>& job, Pick pick,
@@ -283,6 +271,8 @@ class Router {
   // out of rotation; probe results close or re-open the half-open state.
   void note_shard_result(int64_t shard, bool retryable_failure, bool probe,
                          bool probe_ok);
+  // Out of rotation (mutex_ held): DRAINING, admission paused, counted.
+  void drain_locked(ShardEntry& entry, Clock::time_point now);
 
   static Clock::time_point resolve_deadline(const RouteRequest& request,
                                             int64_t default_ms,
@@ -293,15 +283,11 @@ class Router {
   std::vector<ShardEntry> shards_;
 
   mutable std::mutex mutex_;  // ring, shard states, counters
-  std::condition_variable cv_;
   HashRing ring_;
   bool accepting_ = true;
-  bool stopping_ = false;
-
-  std::thread health_thread_;
 
   // Router registry; taxonomy counters only updated under mutex_ (coherent
-  // snapshots), per-shard gauges are observability-only.
+  // snapshots).
   obs::MetricsRegistry metrics_;
   obs::Counter& c_submitted_;
   obs::Counter& c_served_;

@@ -73,7 +73,7 @@ void CancelToken::detach() {
 plan::ProgramSet InferenceService::compile_programs(
     core::YolloModel& model, const data::Vocab& vocab,
     const ServeConfig& config) {
-  if (!config.warm_plans || !plan::enabled()) return {};
+  if (!plan::enabled()) return {};
   // Record on a private copy: the Programs bind its weights, so a caller
   // that later mutates `model` cannot reach the service's planned path.
   Rng rng(config.seed);
@@ -332,8 +332,7 @@ void InferenceService::worker_loop(Worker* self) {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping = stopping_;
   }
-  if (config_.warm_plans && !stopping &&
-      !self->lost.load(std::memory_order_relaxed)) {
+  if (!stopping && !self->lost.load(std::memory_order_relaxed)) {
     try {
       self->replica->warm_plan(config_.batch_max);
     } catch (...) {
@@ -341,7 +340,7 @@ void InferenceService::worker_loop(Worker* self) {
       // on first use or the worker stays dynamic.
     }
   }
-  // Signal warm-up completion (set even when warm_plans is off, so callers
+  // Signal warm-up completion (set even under YOLLO_PLAN=0, so callers
   // can always gate on it): benchmarks wait for this gauge to reach
   // num_workers before starting their clocks.
   {

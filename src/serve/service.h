@@ -138,13 +138,6 @@ struct ServeConfig {
   // forward in flight. Off restores the PR-2 observe-only deadline
   // behaviour (and disables the watchdog, which needs heartbeats).
   bool enable_cancellation = true;
-  // Compile static forward Programs (DESIGN.md §14) for every batch size up
-  // to batch_max once, at construction, and have each worker size its one
-  // arena to the largest of them (charged to the worker's pool budget)
-  // before it takes its first request, so no request pays the
-  // record+compile cost. A refused arena just leaves the worker on the
-  // dynamic path. No-op when YOLLO_PLAN=0.
-  bool warm_plans = true;
   // Watchdog poll interval in ms. -1 reads YOLLO_WATCHDOG_MS at
   // construction; <= 0 disables the watchdog (the default when the env is
   // unset).
@@ -257,9 +250,8 @@ class InferenceService {
 
   // Records and compiles one Program per batch size 1..batch_max on the
   // calling thread, from a private eval-mode copy of `model` whose weights
-  // the Programs keep alive. Empty when config.warm_plans is off or
-  // YOLLO_PLAN=0. The Router calls this once and shares the set across its
-  // shards.
+  // the Programs keep alive. Empty when YOLLO_PLAN=0. The Router calls this
+  // once and shares the set across its shards.
   static plan::ProgramSet compile_programs(core::YolloModel& model,
                                            const data::Vocab& vocab,
                                            const ServeConfig& config);

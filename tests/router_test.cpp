@@ -1,4 +1,4 @@
-// Sharded router tests: consistent-hash ring stability, health-aware
+// Sharded router tests: consistent-hash ring stability, load-aware
 // routing, failover on shard failure, one attempt in flight per request,
 // drain/probe (half-open) shard recovery, and a chaos run that kills a shard mid-flight
 // while a concurrent poller asserts the router accounting invariant
@@ -88,8 +88,8 @@ struct RouterHarness {
     return req;
   }
 
-  // A deterministic base config: health thread effectively frozen so shard
-  // states only change when a test wants them to.
+  // A deterministic base config: no failure streak or shard breaker trips,
+  // so shard states only change when a test drains or kills a shard.
   RouterConfig frozen_config() {
     RouterConfig rc;
     rc.num_shards = 3;
@@ -97,7 +97,6 @@ struct RouterHarness {
     rc.shard.queue_capacity = 16;
     rc.shard.max_retries = 0;
     rc.shard.breaker_threshold = 1000;
-    rc.health_interval_ms = 1000000;
     rc.shard_failure_threshold = 1000;
     return rc;
   }
@@ -288,7 +287,9 @@ TEST(RouterTest, RefusedEverywhereSettlesBeforeSubmitReturns) {
   FaultGuard guard;
   RouterHarness h;
   Router router(h.model, h.vocab, h.frozen_config());
-  for (int64_t s = 0; s < router.num_shards(); ++s) router.kill_shard(s);
+  // Stopped behind the router's back (kill_shard would take them out of
+  // rotation, and nothing would be tried at all).
+  for (int64_t s = 0; s < router.num_shards(); ++s) router.shard(s).stop();
 
   // Every shard refuses at admission, so the owner's refusal and both
   // failovers all run on this thread, inside submit().
@@ -370,8 +371,6 @@ TEST(RouterTest, SlowOwnerGetsOneAttemptAndNoFailover) {
   rc.num_shards = 3;
   rc.shard.num_workers = 1;
   rc.shard.max_retries = 0;
-  rc.health_interval_ms = 2;  // the health loop watches the slow owner...
-  rc.drain_score = -1.0;      // ...but never drains it in this test
   Router router(h.model, h.vocab, rc);
 
   // Traffic on the other shards' keys first, so a duplicate-request policy
@@ -389,7 +388,6 @@ TEST(RouterTest, SlowOwnerGetsOneAttemptAndNoFailover) {
   for (int i = 0; i < 2; ++i) {
     EXPECT_TRUE(router.route(h.request(id)).status.ok());
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // The owner is slower than the request's budget. The request still gets
   // exactly one attempt, on its owner: a deadline miss is not retryable, so
@@ -423,7 +421,6 @@ TEST(RouterTest, DegradedShardIsDrainedProbedAndRestored) {
   rc.shard.num_workers = 1;
   rc.shard.max_retries = 0;
   rc.shard.breaker_threshold = 1000;  // shard-level drain is the test
-  rc.health_interval_ms = 2;
   rc.shard_failure_threshold = 2;
   rc.drain_cooldown_ms = 10;
   rc.probe_interval_ms = 2;
@@ -451,7 +448,8 @@ TEST(RouterTest, DegradedShardIsDrainedProbedAndRestored) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Heal the shard and keep offering it its own traffic: the half-open
+  // Heal the shard and keep offering it its own traffic: once it has cooled
+  // down, the next request for its keys reopens it, and the half-open
   // probes must bring it back, and its keys must come home (the ring never
   // changed, only the shard's state did).
   router.shard_injector(owner)->reset();
@@ -516,31 +514,74 @@ TEST(RouterTest, KilledShardStaysOutOfRotation) {
   FaultGuard guard;
   RouterHarness h;
   RouterConfig rc = h.frozen_config();
-  rc.health_interval_ms = 2;
   rc.drain_cooldown_ms = 5;
   rc.probe_interval_ms = 2;
   Router router(h.model, h.vocab, rc);
 
   const std::string id = id_owned_by(router, 0);
   router.kill_shard(0);
+  // Out of rotation the moment kill_shard returns: nothing polls for it.
+  EXPECT_EQ(router.health().in_rotation, 2);
+  EXPECT_EQ(router.counters().shards_drained, 1);
 
-  const auto out_by =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (router.health().in_rotation != 2) {
-    ASSERT_LT(std::chrono::steady_clock::now(), out_by);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
   // Its keys are served by the ring successors; a dead shard is never
-  // probed back in (resume_admission refuses after stop()).
+  // probed back in (resume_admission refuses after stop()), however often
+  // its keys walk past it after the cooldown.
   for (int i = 0; i < 5; ++i) {
     const RouteResponse response = router.route(h.request(id));
     EXPECT_TRUE(response.status.ok()) << response.status.to_string();
     EXPECT_NE(response.shard, 0);
+    EXPECT_EQ(response.failovers, 0);
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(router.health().in_rotation, 2);
   EXPECT_EQ(router.counters().shards_restored, 0);
+  EXPECT_EQ(router.counters().probes_sent, 0);
   expect_invariant(router.counters());
+}
+
+// --- load-aware routing -----------------------------------------------------
+
+TEST(RouterTest, LoadedOwnerShedsWithoutAPoll) {
+  FaultGuard guard;
+  RouterHarness h;
+  Router router(h.model, h.vocab, h.frozen_config());
+
+  const int64_t owner = 1;
+  const std::string id = id_owned_by(router, owner);
+  runtime::FaultInjector::Config fc;
+  fc.slow_forward_ms = 200 * kTimeScale;
+  fc.slow_forward_count = 100;
+  router.shard_injector(owner)->configure(fc);
+
+  // Nine unsettled attempts on a 16-slot queue: past half of it, so the
+  // owner's load score falls below the soft threshold. The router counts
+  // them itself as it dispatches them.
+  std::vector<std::future<RouteResponse>> futures;
+  for (int i = 0; i < 9; ++i) futures.push_back(router.submit(h.request(id)));
+  EXPECT_EQ(router.health().shards[static_cast<size_t>(owner)].outstanding, 9);
+
+  // The tenth goes straight to a less loaded successor: a first pick, not
+  // a failover.
+  const RouteResponse shed = router.route(h.request(id));
+  EXPECT_TRUE(shed.status.ok()) << shed.status.to_string();
+  EXPECT_NE(shed.shard, owner);
+  EXPECT_EQ(shed.failovers, 0);
+
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::minutes(2)),
+              std::future_status::ready);
+    const RouteResponse response = future.get();
+    EXPECT_TRUE(response.status.ok()) << response.status.to_string();
+    EXPECT_EQ(response.shard, owner);
+  }
+  const RouterCounters counters = router.counters();
+  EXPECT_EQ(counters.submitted, 10);
+  EXPECT_EQ(counters.served, 10);
+  EXPECT_EQ(counters.failovers, 0);
+  expect_invariant(counters);
+  for (const ShardHealth& shard : router.health().shards) {
+    EXPECT_EQ(shard.outstanding, 0) << "shard " << shard.id;
+  }
 }
 
 // --- chaos: kill a shard mid-run, lose nothing ------------------------------
@@ -568,7 +609,6 @@ TEST(RouterChaosTest, ShardKilledMidRunLosesNoRequests) {
   // TSan's ~10x slowdown — overload rejections are not this test's subject.
   rc.shard.queue_capacity = std::max<int64_t>(64, 2 * kPerThread + 8);
   rc.shard.max_retries = 1;
-  rc.health_interval_ms = 2;
   rc.shard_failure_threshold = 3;
   rc.drain_cooldown_ms = 10;
   Router router(h.model, h.vocab, rc);
@@ -615,8 +655,8 @@ TEST(RouterChaosTest, ShardKilledMidRunLosesNoRequests) {
   }
 
   // Mid-run chaos: wait for real traffic, then kill one of the three
-  // shards. kill_shard drains its queue (those requests are still answered
-  // or failed over) and the health loop routes around the corpse.
+  // shards. kill_shard takes it out of rotation and drains its queue (those
+  // requests are still answered or failed over).
   while (submitted_before_kill.load() < (kThreads * kPerThread) / 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
